@@ -18,6 +18,7 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -162,10 +163,6 @@ main(int argc, char **argv)
                 "fleets (0 = half the eDRAM pool)");
     args.addInt("steps", 0,
                 "max engine steps per device (0 = run to completion)");
-    args.addInt("threads", 1,
-                "worker lanes per cluster run (1 = serial engine, "
-                "0 = hardware threads); output is bit-identical for "
-                "every value");
     args.addBool("burst", false, "bursty (MMPP) arrivals");
     args.addBool("study", true,
                  "run the knee (join-shortest-kv vs round-robin) and "
@@ -242,12 +239,16 @@ main(int argc, char **argv)
         base.engine.traffic.slo.tpotSec = args.getDouble("slo-tpot");
     base.engine.maxEngineSteps = args.getSize("steps");
     base.engine.fastSim = args.getBool("fastsim");
-    base.threads = args.getSize("threads");
     base.faults.enabled = args.getBool("faults");
     base.faults.mtbfSec = args.getDouble("mtbf");
     base.faults.mttrSec = args.getDouble("mttr");
-    base.faults.maxRetries =
-        static_cast<std::uint32_t>(args.getInt("retries"));
+    const std::size_t retries = args.getSize("retries");
+    if (retries > UINT32_MAX) {
+        std::fprintf(stderr, "--retries must be <= %u, got %zu\n",
+                     UINT32_MAX, retries);
+        return 1;
+    }
+    base.faults.maxRetries = static_cast<std::uint32_t>(retries);
 
     const std::size_t n_devices = args.getSize("devices");
     const std::size_t max_batch = args.getSize("maxbatch");

@@ -8,7 +8,7 @@
  * engine-steps/sec, the step-cost-cache hit rate and the share of
  * decode boundaries the engine fast-forwarded, plus peak RSS.
  *
- * Emits `BENCH_simspeed.json` (schema v2 in bench/README.md) so the
+ * Emits `BENCH_simspeed.json` (schema v4 in bench/README.md) so the
  * repo's performance trajectory is tracked. The CI gate is
  * self-relative — `--ref` times the same sweep with the fast path off
  * (`ServingConfig::fastSim = false`, the uncached step-at-a-time
@@ -17,15 +17,10 @@
  * fail the gate and a faster one cannot hide a regression, unlike the
  * absolute steps/sec floor it replaces.
  *
- * `--devices` scales the alternating eDRAM/SRAM fleet and `--threads`
- * engages the deterministic parallel cluster engine; with threads > 1
- * the sweep is additionally timed at `threads = 1` and the report
- * carries a `thread_scaling` section with the speedup (outputs are
- * bit-identical by construction — only wall-clock varies).
+ * `--devices` scales the alternating eDRAM/SRAM fleet.
  *
  * Cells run serially (never via parallelFor): each wall-clock sample
- * must own the machine (the only intra-cell parallelism is the
- * cluster engine's own worker lanes when --threads > 1).
+ * must own the machine.
  */
 
 #include <chrono>
@@ -164,22 +159,21 @@ void
 writeJson(const std::string &path, const cluster::ClusterConfig &base,
           bool quick, const std::vector<CellResult> &cells,
           const Aggregate &fast, const Aggregate *ref,
-          const Aggregate *serial, const obs::PhaseProfiler &prof)
+          const obs::PhaseProfiler &prof)
 {
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
         return;
     }
-    std::fprintf(f, "{\n  \"schema\": \"kelle.bench_simspeed/v3\",\n");
+    std::fprintf(f, "{\n  \"schema\": \"kelle.bench_simspeed/v4\",\n");
     std::fprintf(f,
                  "  \"config\": {\"devices\": %zu, \"hetero\": true, "
-                 "\"threads\": %zu, \"hardware_threads\": %zu, "
+                 "\"hardware_threads\": %zu, "
                  "\"requests\": %zu, \"rate_per_sec\": %.6g, "
                  "\"seed\": %llu, \"policy\": \"%s\", "
                  "\"quick\": %s},\n",
-                 base.devices.size(), base.threads,
-                 common::defaultParallelism(),
+                 base.devices.size(), common::defaultParallelism(),
                  base.engine.traffic.numRequests,
                  base.engine.traffic.ratePerSec,
                  static_cast<unsigned long long>(
@@ -224,18 +218,6 @@ writeJson(const std::string &path, const cluster::ClusterConfig &base,
                 ? ref->wallSec / fast.wallSec
                 : 0.0);
     }
-    if (serial != nullptr) {
-        std::fprintf(
-            f,
-            ",\n  \"thread_scaling\": {\"threads\": %zu, "
-            "\"serial_wall_sec\": %.6f, "
-            "\"serial_engine_steps_per_sec\": %.1f, "
-            "\"speedup\": %.2f}",
-            base.threads, serial->wallSec, serial->stepsPerSec(),
-            serial->wallSec > 0.0 && fast.wallSec > 0.0
-                ? serial->wallSec / fast.wallSec
-                : 0.0);
-    }
     std::fprintf(f, ",\n  \"phases\": {");
     bool first_phase = true;
     for (std::size_t p = 0; p < obs::PhaseProfiler::kPhases; ++p) {
@@ -275,11 +257,6 @@ main(int argc, char **argv)
                    "knee of bench_cluster's study)");
     args.addInt("devices", 2,
                 "fleet size (alternating eDRAM/SRAM knee fleet)");
-    args.addInt("threads", 1,
-                "worker lanes per cluster run (1 = serial engine, "
-                "0 = hardware threads); outputs stay bit-identical — "
-                "with threads > 1 the sweep is also timed serially "
-                "and the report gains a thread_scaling section");
     args.addInt("seed", 42, "arrival-trace seed");
     args.addString("policy", "contbatch",
                    "per-device scheduling policy: " +
@@ -315,7 +292,6 @@ main(int argc, char **argv)
     base.devices =
         kneeFleet(base.engine.model,
                   std::max<std::size_t>(1, args.getSize("devices")));
-    base.threads = args.getSize("threads");
 
     bench::banner(
         "Sim throughput: " + std::to_string(base.devices.size()) +
@@ -323,13 +299,12 @@ main(int argc, char **argv)
         std::to_string(base.engine.traffic.numRequests) +
         " requests/cell at " +
         Table::num(base.engine.traffic.ratePerSec, 4) +
-        " req/s, policy " + toString(base.engine.policy) + ", " +
-        std::to_string(base.threads) + " worker lane(s), seed " +
+        " req/s, policy " + toString(base.engine.policy) + ", seed " +
         std::to_string(base.engine.traffic.seed));
 
-    // Self-profile the fast sweep only: the serial and reference
-    // sweeps below run with the profiler detached so the phase table
-    // attributes every second to the configuration being reported.
+    // Self-profile the fast sweep only: the reference sweep below runs
+    // with the profiler detached so the phase table attributes every
+    // second to the configuration being reported.
     obs::PhaseProfiler prof;
     base.engine.profiler = &prof;
 
@@ -385,32 +360,7 @@ main(int argc, char **argv)
                                       : 0.0)});
         }
         pt.print("engine self-profile of the fast sweep; "
-                 "fast_forward counts replayed boundaries, window "
-                 "time sums across worker lanes");
-    }
-
-    Aggregate serial;
-    const bool with_scaling = base.threads != 1;
-    if (with_scaling) {
-        cluster::ClusterConfig one = base;
-        one.threads = 1;
-        one.engine.profiler = nullptr;
-        bench::banner("Thread scaling: the same sweep on the serial "
-                      "shared-heap engine");
-        Table st({"dispatch", "wall", "steps/s"});
-        for (const auto d : dispatches) {
-            CellResult c = runCell(one, d);
-            serial.add(c);
-            st.addRow({c.dispatch, Table::num(c.wallSec, 3) + " s",
-                       Table::num(c.engineSteps /
-                                      std::max(c.wallSec, 1e-9),
-                                  0)});
-        }
-        st.print("bit-identical outputs; only wall-clock differs");
-        bench::note("thread scaling at " +
-                    std::to_string(base.threads) + " lanes: " +
-                    Table::mult(serial.wallSec /
-                                std::max(fast.wallSec, 1e-9)));
+                 "fast_forward counts replayed boundaries");
     }
 
     Aggregate ref;
@@ -438,7 +388,6 @@ main(int argc, char **argv)
     }
 
     writeJson(args.getString("json"), base, args.getBool("quick"),
-              cells, fast, with_ref ? &ref : nullptr,
-              with_scaling ? &serial : nullptr, prof);
+              cells, fast, with_ref ? &ref : nullptr, prof);
     return 0;
 }

@@ -39,9 +39,8 @@ function(kelle_discover_suite_tests TARGET)
 else()
     # Not built yet. Register a failing placeholder instead of
     # aborting ctest outright: a full run still fails loudly, but a
-    # scoped run (ctest -R over targets that WERE built, e.g. the
-    # TSan job's three threaded suites) is not held hostage by
-    # binaries it never asked for.
+    # scoped run (ctest -R over the targets that WERE built) is not
+    # held hostage by binaries it never asked for.
     add_test(${TARGET}_suites_not_discovered
         \"${CMAKE_COMMAND}\" -E echo
         \"suite list of ${TARGET} not generated yet - run the build \"

@@ -4,9 +4,7 @@
 #include <limits>
 
 #include "common/log.hpp"
-#include "common/parallel.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 
 namespace kelle {
 namespace cluster {
@@ -87,27 +85,18 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
 {
     KELLE_ASSERT(!cfg_.devices.empty(),
                  "a cluster needs at least one device");
+    if (cfg_.threads != 1)
+        KELLE_FATAL("ClusterConfig::threads must be 1 (got ",
+                    cfg_.threads,
+                    "): the fleet runs on one shared event loop");
     if (cfg_.engine.trace != nullptr)
         clusterTrack_ = cfg_.engine.trace->requestsTrack();
-    threads_ =
-        cfg_.threads ? cfg_.threads : common::defaultParallelism();
-    threads_ = std::min(threads_, cfg_.devices.size());
-    // Verbose runs stay serial: the parallel engine's state is
-    // bit-identical but its log interleaving would not be.
-    if (cfg_.engine.verbose)
-        threads_ = 1;
     if (cfg_.faults.enabled) {
         injector_ = std::make_unique<faults::FaultInjector>(
             cfg_.faults, cfg_.devices.size());
         health_.assign(cfg_.devices.size(), DeviceHealth::Healthy);
         downSince_.assign(cfg_.devices.size(), Time());
         faultDevs_.resize(cfg_.devices.size());
-    }
-    const bool parallel = threads_ > 1;
-    if (parallel) {
-        localQueues_.reserve(cfg_.devices.size());
-        requeueBufs_.resize(cfg_.devices.size());
-        requeueBufPos_.assign(cfg_.devices.size(), 0);
     }
     devices_.reserve(cfg_.devices.size());
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
@@ -121,14 +110,8 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
         d.system = spec.system;
         d.poolTokens = spec.poolTokens;
         d.maxBatch = spec.maxBatch;
-        // Parallel engine: each device steps its own event-queue
-        // partition so a lookahead window touches no shared state.
-        sim::EventQueue &q =
-            parallel ? *localQueues_.emplace_back(
-                           std::make_unique<sim::EventQueue>())
-                     : queue_;
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
-            d, q, requests_));
+            d, queue_, requests_));
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));
@@ -141,77 +124,59 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
                 cfg_.engine.waterfall, static_cast<std::uint32_t>(i));
 
         serving::DeviceEngine::Hooks hooks;
-        if (parallel) {
-            // Emissions are buffered, never dispatched inline: the
-            // coordinator merges them after the round in the serial
-            // heap's pop order. The fast-forward horizon is the
-            // coordinator's current window horizon, constant while
-            // any worker is running.
-            hooks.requeue = [this, i](std::size_t idx) {
-                requeueBufs_[i].push_back(idx);
-            };
-            hooks.nextExternalEvent = [this] {
-                return windowHorizon_;
-            };
-        } else {
-            // Requeue through an immediate event: the victim re-enters
-            // the dispatch policy after the preempting device's step
-            // boundary completes, never re-entering an engine
-            // mid-dispatch. The canonical priority (1 + emitting
-            // device index) fixes the pop order of same-time requeues
-            // from different devices to device-index order — the one
-            // cross-device tie the insertion sequence left dependent
-            // on execution history, which the parallel engine cannot
-            // reproduce.
-            hooks.requeue = [this, i](std::size_t idx) {
-                ++pendingRequeues_;
-                queue_.schedule(
-                    queue_.now(),
-                    [this, idx] {
-                        --pendingRequeues_;
-                        dispatchArrival(idx);
-                    },
-                    1 + static_cast<int>(i));
-            };
-            // With preemption off, the only events that can reach a
-            // device from outside are the trace arrivals, so a device
-            // may fast-forward straight through other devices' step
-            // completions (they touch only their own device and
-            // commute with this one's boundaries). With preemption
-            // on, the same holds up to the earliest instant any
-            // *other* device could emit a victim requeue — a
-            // scheduled-but-undispatched requeue pins the bound to
-            // `now`. The engine stops its own window before its own
-            // preemption scan would fire, so device i's bound is
-            // excluded from its own horizon.
-            hooks.nextExternalEvent = [this, i] {
-                Time bound =
-                    arrivalCursor_ < requests_.size()
-                        ? requests_[arrivalCursor_].arrival
-                        : Time::seconds(
-                              std::numeric_limits<double>::infinity());
-                // Fault instants and fault re-dispatches reach any
-                // device from outside; neither commutes with a
-                // fast-forward window, whatever the preempt knob.
-                if (injector_ != nullptr) {
-                    bound =
-                        std::min(bound, injector_->nextEventTime());
-                    bound = std::min(bound, nextRetryTime());
-                }
-                if (!cfg_.engine.preempt.enabled)
-                    return bound;
-                if (pendingRequeues_ > 0)
-                    return queue_.now();
-                for (std::size_t j = 0; j < devices_.size(); ++j) {
-                    if (j == i)
-                        continue;
-                    bound = std::min(
-                        bound, devices_[j]->nextPossibleRequeueTime(
-                                   queue_.now()));
-                }
+        // Requeue through an immediate event: the victim re-enters the
+        // dispatch policy after the preempting device's step boundary
+        // completes, never re-entering an engine mid-dispatch. The
+        // priority (1 + emitting device index) pops same-time requeues
+        // from different devices in device-index order rather than in
+        // scheduling order; the pinned preempt digests were recorded
+        // under that order, so it must not change.
+        hooks.requeue = [this, i](std::size_t idx) {
+            ++pendingRequeues_;
+            queue_.schedule(
+                queue_.now(),
+                [this, idx] {
+                    --pendingRequeues_;
+                    dispatchArrival(idx);
+                },
+                1 + static_cast<int>(i));
+        };
+        // With preemption off, the only events that can reach a
+        // device from outside are the trace arrivals, so a device may
+        // fast-forward straight through other devices' step
+        // completions (they touch only their own device and commute
+        // with this one's boundaries). With preemption on, the same
+        // holds up to the earliest instant any *other* device could
+        // emit a victim requeue — a scheduled-but-undispatched
+        // requeue pins the bound to `now`. The engine stops its own
+        // window before its own preemption scan would fire, so device
+        // i's bound is excluded from its own horizon.
+        hooks.nextExternalEvent = [this, i] {
+            Time bound =
+                arrivalCursor_ < requests_.size()
+                    ? requests_[arrivalCursor_].arrival
+                    : Time::seconds(
+                          std::numeric_limits<double>::infinity());
+            // Fault instants and fault re-dispatches reach any device
+            // from outside; neither commutes with a fast-forward
+            // window, whatever the preempt knob.
+            if (injector_ != nullptr) {
+                bound = std::min(bound, injector_->nextEventTime());
+                bound = std::min(bound, nextRetryTime());
+            }
+            if (!cfg_.engine.preempt.enabled)
                 return bound;
-            };
-        }
+            if (pendingRequeues_ > 0)
+                return queue_.now();
+            for (std::size_t j = 0; j < devices_.size(); ++j) {
+                if (j == i)
+                    continue;
+                bound = std::min(bound,
+                                 devices_[j]->nextPossibleRequeueTime(
+                                     queue_.now()));
+            }
+            return bound;
+        };
         devices_.back()->setHooks(std::move(hooks));
     }
 }
@@ -321,23 +286,7 @@ ClusterEngine::dispatchArrival(std::size_t idx)
 }
 
 void
-ClusterEngine::dispatchAt(Time t, std::size_t idx)
-{
-    const std::size_t d = pickDevice(idx);
-    if (d == devices_.size()) {
-        scheduleRetry(idx, t);
-        return;
-    }
-    if (injector_ != nullptr)
-        lastDevice_[idx] = d;
-    if (clusterTrack_ != nullptr)
-        clusterTrack_->dispatched(t, requests_[idx].id, d);
-    localQueues_[d]->advanceTo(t);
-    devices_[d]->enqueue(idx);
-}
-
-void
-ClusterEngine::runSerial()
+ClusterEngine::drive()
 {
     // All arrivals up front plus one in-flight step per device and
     // the occasional preemption requeue.
@@ -377,57 +326,11 @@ ClusterEngine::runSerial()
 }
 
 Time
-ClusterEngine::nextRequeueBound() const
-{
-    Time bound =
-        Time::seconds(std::numeric_limits<double>::infinity());
-    if (!cfg_.engine.preempt.enabled)
-        return bound;
-    // A device's future boundaries all lie at or after its next
-    // pending event (no external work can reach it inside the window
-    // being sized here), so its doom clocks for not-yet-decoding
-    // members start no earlier than that.
-    for (std::size_t i = 0; i < devices_.size(); ++i)
-        bound = std::min(bound,
-                         devices_[i]->nextPossibleRequeueTime(
-                             localQueues_[i]->nextEventTime()));
-    return bound;
-}
-
-void
-ClusterEngine::drainRequeues(Time t)
-{
-    // Serial pop order for same-time requeues is (priority = 1 +
-    // emitting device, insertion seq): lowest emitting device first,
-    // then per-device emission order — including victims emitted by
-    // the dispatches this loop itself performs.
-    for (;;) {
-        std::size_t emitter = devices_.size();
-        for (std::size_t i = 0; i < devices_.size(); ++i) {
-            if (requeueBufPos_[i] < requeueBufs_[i].size()) {
-                emitter = i;
-                break;
-            }
-        }
-        if (emitter == devices_.size())
-            break;
-        const std::size_t idx =
-            requeueBufs_[emitter][requeueBufPos_[emitter]++];
-        dispatchAt(t, idx);
-    }
-    for (std::size_t i = 0; i < devices_.size(); ++i) {
-        requeueBufs_[i].clear();
-        requeueBufPos_[i] = 0;
-    }
-}
-
-Time
 ClusterEngine::nextRetryTime() const
 {
-    Time t = Time::seconds(std::numeric_limits<double>::infinity());
-    for (const PendingRetry &r : retryPending_)
-        t = std::min(t, r.at);
-    return t;
+    return retryAt_.empty()
+               ? Time::seconds(std::numeric_limits<double>::infinity())
+               : *retryAt_.begin();
 }
 
 void
@@ -435,7 +338,9 @@ ClusterEngine::scheduleRetry(std::size_t idx, Time now)
 {
     serving::Request &r = requests_[idx];
     if (r.faultRetries >= cfg_.faults.maxRetries) {
-        permanentFail(idx, now);
+        // Terminal failure, charged to the request's last device.
+        ++permanentFailures_;
+        devices_[lastDevice_[idx]]->failRequestAt(now, idx);
         return;
     }
     ++r.faultRetries;
@@ -450,86 +355,21 @@ ClusterEngine::scheduleRetry(std::size_t idx, Time now)
     backoff = std::min(backoff, cfg_.faults.retryBackoffCapSec);
     backoff *= 0.5 + hashUnit(r.id, attempt);
     const Time at = now + Time::seconds(backoff);
-    PendingRetry pr;
-    pr.at = at;
-    pr.seq = retrySeq_++;
-    pr.req = idx;
-    retryPending_.push_back(pr);
-    if (threads_ <= 1) {
-        // Serial: a queue event fires the earliest pending retry. The
-        // priority puts same-time retries after every device requeue
-        // (1 + emitting device index < 1 + fleet size), the order the
-        // parallel round phases replay.
-        queue_.schedule(at, [this] { fireRetry(); },
-                        1 + static_cast<int>(devices_.size()));
-    }
+    retryAt_.insert(at);
+    // The priority (1 + fleet size) pops a retry after every
+    // same-time device requeue (priority 1 + emitting device); the
+    // pinned fault digests were recorded under that order.
+    queue_.schedule(
+        at,
+        [this, idx, at] {
+            retryAt_.erase(retryAt_.find(at));
+            dispatchArrival(idx);
+        },
+        1 + static_cast<int>(devices_.size()));
     if (cfg_.engine.verbose)
         inform("t=", toString(now), " request #", r.id,
                " fault retry ", attempt, "/", cfg_.faults.maxRetries,
                " scheduled at t=", toString(at));
-}
-
-void
-ClusterEngine::permanentFail(std::size_t idx, Time now)
-{
-    ++permanentFailures_;
-    const std::size_t d = lastDevice_[idx];
-    // The target's clock may trail `now` when the failure lands off
-    // its own partition (parallel mode only); no event of its can be
-    // pending before the round's t0.
-    if (threads_ > 1)
-        localQueues_[d]->advanceTo(now);
-    devices_[d]->failRequestAt(now, idx);
-}
-
-void
-ClusterEngine::fireRetry()
-{
-    KELLE_ASSERT(!retryPending_.empty(),
-                 "fault retry fired with none pending");
-    // Pop min (at, seq): scheduling order matches the event queue's
-    // (time, seq) order for the events that created them.
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < retryPending_.size(); ++i) {
-        const PendingRetry &a = retryPending_[i];
-        const PendingRetry &b = retryPending_[best];
-        if (a.at < b.at || (a.at == b.at && a.seq < b.seq))
-            best = i;
-    }
-    const std::size_t idx = retryPending_[best].req;
-    KELLE_ASSERT(!(queue_.now() < retryPending_[best].at),
-                 "fault retry fired early");
-    retryPending_.erase(retryPending_.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-    dispatchArrival(idx);
-}
-
-void
-ClusterEngine::drainRetries(Time t)
-{
-    for (;;) {
-        std::size_t best = retryPending_.size();
-        for (std::size_t i = 0; i < retryPending_.size(); ++i) {
-            const PendingRetry &a = retryPending_[i];
-            if (t < a.at)
-                continue;
-            if (best == retryPending_.size() ||
-                a.at < retryPending_[best].at ||
-                (a.at == retryPending_[best].at &&
-                 a.seq < retryPending_[best].seq))
-                best = i;
-        }
-        if (best == retryPending_.size())
-            break;
-        const std::size_t idx = retryPending_[best].req;
-        retryPending_.erase(retryPending_.begin() +
-                            static_cast<std::ptrdiff_t>(best));
-        dispatchAt(t, idx);
-        // A retry dispatch can cascade into same-time preemption
-        // requeues; the serial heap pops those (priority 1 + device)
-        // before the next retry event (priority 1 + fleet size).
-        drainRequeues(t);
-    }
 }
 
 void
@@ -634,130 +474,6 @@ ClusterEngine::fillFaultReport(ClusterReport *rep, Time last) const
             ++f.retrySuccesses;
 }
 
-void
-ClusterEngine::runParallel()
-{
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    common::ThreadPool pool(threads_);
-    const std::size_t nd = devices_.size();
-    for (auto &q : localQueues_)
-        q->reserve(8);
-    // Earliest fault-side external event: the next fault instant or
-    // the next pending fault re-dispatch (+inf faults-off). Neither
-    // commutes with a lookahead window, so both bound horizons.
-    const auto nextExtra = [this, inf] {
-        return injector_ != nullptr
-                   ? std::min(injector_->nextEventTime(),
-                              nextRetryTime())
-                   : Time::seconds(inf);
-    };
-    for (;;) {
-        const Time arrival =
-            arrivalCursor_ < requests_.size()
-                ? requests_[arrivalCursor_].arrival
-                : Time::seconds(inf);
-        Time nextEvent = Time::seconds(inf);
-        for (const auto &q : localQueues_)
-            nextEvent = std::min(nextEvent, q->nextEventTime());
-        // Drained: no arrivals, no local events, no parked retries
-        // (requeue buffers never persist a round; the infinite fault
-        // stream alone never keeps a run alive).
-        if (!(arrival.sec() < inf) && !(nextEvent.sec() < inf) &&
-            retryPending_.empty())
-            break;
-        const Time extra = nextExtra();
-        const Time horizon = std::min(
-            std::min(arrival, nextRequeueBound()), extra);
-        if (nextEvent < horizon) {
-            // Lookahead window: every device advances its own
-            // partition to the horizon concurrently. Nothing crosses
-            // devices before it — arrivals land at or after it, and
-            // no device can emit a requeue before `nextRequeueBound`
-            // (its own in-window preemptions are stopped by the
-            // engine's doom check, everyone else's by the bound).
-            windowHorizon_ = horizon;
-            // A window with one active partition needs no barrier:
-            // run it inline and leave the workers parked (the common
-            // shape between sparse arrivals).
-            std::size_t active = 0, only = 0;
-            for (std::size_t i = 0; i < nd; ++i) {
-                if (localQueues_[i]->nextEventTime() < horizon) {
-                    ++active;
-                    only = i;
-                }
-            }
-            {
-                obs::PhaseProfiler::Timer timer(
-                    cfg_.engine.profiler,
-                    obs::PhaseProfiler::Phase::Window);
-                if (active == 1)
-                    localQueues_[only]->runBefore(windowHorizon_);
-                else
-                    pool.forEach(nd, [this](std::size_t i) {
-                        localQueues_[i]->runBefore(windowHorizon_);
-                    });
-            }
-            for (std::size_t i = 0; i < nd; ++i)
-                KELLE_ASSERT(requeueBufs_[i].empty(),
-                             "a lookahead window emitted a requeue");
-            continue;
-        }
-        // Serialized round at t0 — the earliest pending work — with
-        // phases in the serial heap's pop order: arrivals in trace
-        // order, then same-time step boundaries (priority 0; they
-        // commute across devices, so device-index order is safe),
-        // then requeues in canonical order. With preemption on, an
-        // injection can cascade into same-time emissions targeting
-        // devices already stepped, so lookahead is disabled for the
-        // round; with it off, a boundary may fast-forward up to the
-        // next still-pending arrival exactly like the serial engine.
-        const Time t0 =
-            std::min(std::min(arrival, nextEvent), extra);
-        obs::PhaseProfiler::Timer round_timer(
-            cfg_.engine.profiler,
-            obs::PhaseProfiler::Phase::SerialRound);
-        const bool lookahead = !cfg_.engine.preempt.enabled;
-        windowHorizon_ = t0;
-        if (injector_ != nullptr &&
-            injector_->nextEventTime() <= t0) {
-            // Fault instants precede any same-time queue event (the
-            // serial loop's order). No partition holds an event
-            // before t0, so every clock can line up with the fault —
-            // the ladder and eviction handling may touch any device.
-            for (auto &q : localQueues_)
-                q->advanceTo(t0);
-            while (injector_->nextEventTime() <= t0)
-                applyFault(injector_->pop());
-        }
-        if (arrival == t0) {
-            while (arrivalCursor_ < requests_.size() &&
-                   requests_[arrivalCursor_].arrival == t0) {
-                const std::size_t idx = arrivalCursor_++;
-                if (lookahead)
-                    windowHorizon_ = std::min(
-                        arrivalCursor_ < requests_.size()
-                            ? requests_[arrivalCursor_].arrival
-                            : Time::seconds(inf),
-                        nextExtra());
-                dispatchAt(t0, idx);
-            }
-        }
-        if (lookahead)
-            windowHorizon_ =
-                std::min(arrivalCursor_ < requests_.size()
-                             ? requests_[arrivalCursor_].arrival
-                             : Time::seconds(inf),
-                         nextExtra());
-        for (std::size_t i = 0; i < nd; ++i) {
-            while (localQueues_[i]->nextEventTime() == t0)
-                localQueues_[i]->runNext();
-        }
-        drainRequeues(t0);
-        if (injector_ != nullptr)
-            drainRetries(t0);
-    }
-}
-
 ClusterReport
 ClusterEngine::run()
 {
@@ -771,10 +487,7 @@ ClusterEngine::run()
         cfg_.engine.waterfall->beginRun(requests_.size());
     if (injector_ != nullptr)
         lastDevice_.assign(requests_.size(), 0);
-    if (threads_ > 1)
-        runParallel();
-    else
-        runSerial();
+    drive();
 
     // Makespan is first arrival to last completion anywhere in the
     // fleet; the idle lead-in before the first arrival is not serving

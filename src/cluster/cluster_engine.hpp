@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -76,15 +77,10 @@ struct ClusterConfig
     /** The fleet; must not be empty. */
     std::vector<DeviceSpec> devices;
     /**
-     * Worker lanes for the deterministic parallel engine: 1 (default)
-     * runs the serial shared-heap engine; 0 means one lane per
-     * hardware thread; N caps at N lanes. Lanes are clamped to the
-     * fleet size, and verbose runs always fall back to serial so the
-     * log interleaving stays the serial one. Every value yields a
-     * bit-identical ClusterReport — the parallel engine advances each
-     * device only to a conservative lookahead horizon and merges
-     * cross-device effects in the serial heap's pop order (see
-     * docs/ARCHITECTURE.md, "Parallel cluster engine").
+     * Kept for source compatibility with callers that set it: the
+     * fleet is driven by one shared event loop, so 1 is the only
+     * accepted value and anything else is a fatal configuration
+     * error at construction.
      */
     std::size_t threads = 1;
     /**
@@ -92,8 +88,8 @@ struct ClusterConfig
      * crash / slowdown / pool-shrink disruptions with recovery,
      * crash-eviction re-dispatch under a capped-backoff retry budget,
      * and the graceful-degradation ladder. Disabled (the default) the
-     * engine never constructs an injector and every path — serial and
-     * parallel — is bit-identical to the pre-fault build.
+     * engine never constructs an injector and every path is
+     * bit-identical to the pre-fault build.
      */
     faults::FaultConfig faults;
 };
@@ -166,35 +162,18 @@ class ClusterEngine
      *  the whole fleet is down (the caller schedules a retry). */
     std::size_t pickDevice(std::size_t idx);
     void dispatchArrival(std::size_t idx);
-    /** Parallel-mode dispatch: line the target's partition clock up
-     *  with the globally-timestamped injection, then enqueue. */
-    void dispatchAt(Time t, std::size_t idx);
     /** Refresh and return the reusable status-snapshot scratch. */
     const std::vector<DeviceStatus> &statuses();
-    void runSerial();
-    void runParallel();
-    /** Dispatch buffered preemption requeues in the serial heap's pop
-     *  order: (emitting device index, per-device emission order). */
-    void drainRequeues(Time t);
-    /** Earliest requeue any device could still emit (+inf when none). */
-    Time nextRequeueBound() const;
+    /** Drain the event queue, interleaving the fault stream. */
+    void drive();
     /** @name Fault machinery (injector_ != nullptr only). @{ */
     /** Apply one fault instant: flip health, drive the device's fault
      *  surface, schedule eviction retries, run the degradation
-     *  ladder. Requires every (relevant) event queue advanced to
-     *  `ev.at`. */
+     *  ladder. Requires the event queue advanced to `ev.at`. */
     void applyFault(const faults::FaultEvent &ev);
     /** Re-dispatch `idx` after a capped exponential backoff, or fail
      *  it permanently once the retry budget is spent. */
     void scheduleRetry(std::size_t idx, Time now);
-    /** Terminal failure of `idx` on its last device. */
-    void permanentFail(std::size_t idx, Time now);
-    /** Serial retry event: pop the earliest pending retry. */
-    void fireRetry();
-    /** Parallel round phase: dispatch retries due at `t` in (at, seq)
-     *  order, draining cascaded requeues after each (the serial
-     *  heap's pop order: requeue priority < retry priority). */
-    void drainRetries(Time t);
     /** Earliest pending fault re-dispatch (+inf when none). */
     Time nextRetryTime() const;
     /** Fill ClusterReport::faults after the roll-up. */
@@ -215,27 +194,8 @@ class ClusterEngine
      *  the devices' fast-forward horizon; see Hooks). */
     std::size_t arrivalCursor_ = 0;
 
-    /** Resolved worker lanes (1 = serial engine). */
-    std::size_t threads_ = 1;
-    /** @name Parallel-engine state (threads_ > 1 only)
-     * Each device steps its own event-queue partition; the coordinator
-     * alternates lock-free lookahead windows (no cross-device effect
-     * can occur before the horizon) with serialized rounds that merge
-     * arrivals, same-time boundaries and requeues in the serial heap's
-     * pop order. `windowHorizon_` backs Hooks::nextExternalEvent: it
-     * is written by the coordinator only while the workers are joined,
-     * and read by them only inside a window.
-     * @{ */
-    std::vector<std::unique_ptr<sim::EventQueue>> localQueues_;
-    Time windowHorizon_;
-    /** Preemption victims emitted this round, one buffer per emitting
-     *  device, consumed from `requeueBufPos_`. */
-    std::vector<std::vector<std::size_t>> requeueBufs_;
-    std::vector<std::size_t> requeueBufPos_;
-    /** @} */
-
-    /** Serial mode: requeue events scheduled but not yet dispatched —
-     *  while nonzero, no device may fast-forward past `now`. */
+    /** Requeue events scheduled but not yet dispatched — while
+     *  nonzero, no device may fast-forward past `now`. */
     int pendingRequeues_ = 0;
 
     /** @name Fault state (null/empty when cfg_.faults.enabled off;
@@ -249,16 +209,8 @@ class ClusterEngine
     /** Last device each request was dispatched to (terminal fault
      *  failures land on it). */
     std::vector<std::size_t> lastDevice_;
-    /** One pending fault re-dispatch; `seq` breaks same-time ties in
-     *  scheduling order, matching the serial heap's (time, seq). */
-    struct PendingRetry
-    {
-        Time at;
-        std::uint64_t seq = 0;
-        std::size_t req = 0;
-    };
-    std::vector<PendingRetry> retryPending_; ///< unordered, rare
-    std::uint64_t retrySeq_ = 0;
+    /** Instants of the fault re-dispatches still pending (rare). */
+    std::multiset<Time> retryAt_;
     std::vector<std::size_t> victimScratch_;
     std::vector<std::size_t> shedScratch_;
     /** Compacted-status index map: statusScratch_ row -> device. */

@@ -19,14 +19,14 @@
  * streams into one chronological feed keyed (time, device index); the
  * cluster engine drains it interleaved with its event queue, applying
  * each fault *before* any same-time queue event, and publishes
- * `nextEventTime()` into the parallel engine's lookahead horizon so
- * no device can fast-forward across a fault instant. Streams are
+ * `nextEventTime()` into the devices' fast-forward horizon so no
+ * device can fast-forward across a fault instant. Streams are
  * generated lazily (one pending event per device), so the injector
  * never materializes the infinite renewal process.
  *
  * Determinism contract (pinned by tests/test_faults.cpp): for a fixed
  * config the sequence of popped `FaultEvent`s is byte-identical
- * across `ClusterConfig::threads` values and fastSim on/off, and a
+ * across fastSim on/off, and a
  * default-constructed (disabled) config makes the whole subsystem a
  * null test — the cluster engine never constructs an injector and all
  * pre-fault golden digests are unchanged.

@@ -27,8 +27,8 @@
  * Determinism contract: the free list is LIFO, the prefix index is an
  * ordered map, and cached reclaim walks entries in publish order —
  * every operation sequence maps to exactly one page-id sequence, so
- * paged runs are byte-identical across thread counts and fastSim
- * on/off as long as the caller replays the same operations.
+ * paged runs are byte-identical across fastSim on/off as long as the
+ * caller replays the same operations.
  *
  * The pool is pure accounting: no KV bytes are stored, `bytesPerPage`
  * only scales the byte-level occupancy reported to dispatch policies

@@ -166,8 +166,7 @@ WaterfallEntry &
 LatencyWaterfall::at(std::size_t idx)
 {
     // Owners pre-size via beginRun; growth here only covers bare
-    // DeviceEngine use and always happens on the coordinator (enqueue
-    // runs with workers joined), mirroring the shared request table.
+    // DeviceEngine use.
     if (idx >= entries_.size())
         entries_.resize(idx + 1);
     return entries_[idx];

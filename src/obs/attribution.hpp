@@ -33,8 +33,7 @@
  * measured E2E. c4 and c8 are remainders nudged to the exact fixpoint
  * (`exactRemainder`), so the identity holds for every request, not
  * just up to rounding. All inputs are deterministic sim-time values,
- * so waterfalls are bit-identical across `ClusterConfig::threads`
- * values and fastSim on/off.
+ * so waterfalls are bit-identical across fastSim on/off.
  *
  * `classifyMiss` labels each SLO miss with its dominant cause by
  * comparing the component groups responsible for the missed deadline
@@ -46,10 +45,9 @@
  * Cost contract: engines hold a `LatencyWaterfall *` that is null when
  * attribution is off — every hook is a pointer test, no allocation,
  * no output perturbation (the pre-attribution golden digests are
- * recorded with the hooks compiled in and disabled). Thread safety
+ * recorded with the hooks compiled in and disabled). Ownership
  * mirrors the shared request table: each entry is written only by the
- * device currently serving that request, and cross-device handoffs
- * synchronize through the cluster coordinator (TSan-checked).
+ * device currently serving that request.
  */
 
 #ifndef KELLE_OBS_ATTRIBUTION_HPP

@@ -11,10 +11,6 @@ PhaseProfiler::phaseName(Phase p)
         return "trace_gen";
       case Phase::SerialDrive:
         return "serial_drive";
-      case Phase::Window:
-        return "window";
-      case Phase::SerialRound:
-        return "serial_round";
       case Phase::FastForward:
         return "fast_forward";
       case Phase::RollUp:

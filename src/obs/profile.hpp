@@ -1,13 +1,13 @@
 /**
  * @file
  * `PhaseProfiler`: wall-clock self-profiling of the simulation core,
- * answering "where does sim wall time go" — lookahead windows vs
- * serialized fallback rounds vs inline decode fast-forward vs trace
- * generation and roll-up. Reported by `bench_simspeed` (phase table
- * plus a `phases` section in its JSON).
+ * answering "where does sim wall time go" — the event-queue drain vs
+ * inline decode fast-forward vs trace generation and roll-up. Reported
+ * by `bench_simspeed` (phase table plus a `phases` section in its
+ * JSON).
  *
- * Accumulators are relaxed atomics, so worker lanes of the parallel
- * cluster engine add concurrently without synchronizing (TSan-clean).
+ * Accumulators are relaxed atomics, so engines running concurrently
+ * (sweep cells under `common::parallelFor`) may share one profiler.
  * Wall-clock readings are inherently nondeterministic; the profiler
  * never feeds back into simulation state, so sim outputs stay
  * bit-identical with or without it. Engines hold a null pointer when
@@ -31,10 +31,8 @@ class PhaseProfiler
     enum class Phase : std::size_t
     {
         TraceGen,    ///< arrival-trace generation
-        SerialDrive, ///< serial engine: the whole event-queue drain
-        Window,      ///< parallel engine: lock-free lookahead windows
-        SerialRound, ///< parallel engine: serialized fallback rounds
-        FastForward, ///< inline decode-boundary replay (both engines)
+        SerialDrive, ///< the whole event-queue drain
+        FastForward, ///< inline decode-boundary replay
         RollUp,      ///< report summarization
         kCount,
     };
@@ -43,7 +41,7 @@ class PhaseProfiler
     static const char *phaseName(Phase p);
 
     /** Add one measured stretch: `sec` wall seconds, `n` occurrences
-     *  (windows run, boundaries replayed, ...). Thread-safe. */
+     *  (drains run, boundaries replayed, ...). Thread-safe. */
     void
     add(Phase p, double sec, std::uint64_t n = 1)
     {

@@ -16,7 +16,7 @@
  * own `TraceTrack`, and the export concatenates tracks in a fixed
  * order (requests, then device 0..N-1). Cross-device interleaving
  * never enters the byte stream, so the exported JSON is byte-identical
- * for any `ClusterConfig::threads` value and for fastSim on/off — the
+ * for fastSim on/off — the
  * fast-forward path replays per-boundary events exactly as the
  * step-at-a-time path emits them. Within one track, timestamps are
  * monotone non-decreasing.
@@ -27,12 +27,10 @@
  * allocation-free steady-state assert are unchanged). With tracing on,
  * recording is an amortized vector push per event.
  *
- * Thread safety: a track has exactly one writer (its device engine, or
- * the cluster coordinator for the requests track). The parallel
- * cluster engine's lookahead windows hand each device to at most one
- * worker and join before the coordinator touches anything, so no
- * additional synchronization is needed (TSan-checked in CI). Use one
- * recorder per run; export only after the run drains.
+ * Ownership: a track has exactly one writer (its device engine, or
+ * the cluster engine for the requests track), and a recorder is not
+ * synchronized. Use one recorder per run; export only after the run
+ * drains.
  */
 
 #ifndef KELLE_OBS_TRACE_HPP
@@ -277,7 +275,7 @@ class TraceRecorder
     TraceRecorder &operator=(const TraceRecorder &) = delete;
 
     /**
-     * The cluster coordinator's track (dispatch instants); exported
+     * The cluster engine's track (dispatch instants); exported
      * first, as the `requests` process that also carries every
      * request's async span.
      */

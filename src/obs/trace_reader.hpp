@@ -37,7 +37,7 @@
  *    each is independently deterministic.
  *
  * Determinism: output depends only on the trace bytes, which are
- * themselves byte-identical across thread counts and fastSim on/off,
+ * themselves byte-identical across fastSim on/off,
  * so every report derived here inherits that contract.
  */
 

@@ -244,15 +244,15 @@ class DeviceEngine
      * preemption victim back through `Hooks::requeue`, +inf when it
      * provably cannot before new work reaches it (preemption off, or
      * no waiting demand — the waiting queue only shrinks until the
-     * owner enqueues again). The parallel coordinator bounds other
-     * devices' lookahead windows with this: a decode that is running
+     * owner enqueues again). The cluster engine bounds other devices'
+     * fast-forward windows with this: a decode that is running
      * now is not doomed before `firstToken + doomFactor x tpotTarget
      * x decLen`, and one that starts decoding later starts its doom
      * clock no earlier than `now`. Each term is shaved one ulp so the
      * bound stays below the preemption scan's own rounding. The bound
      * may lie in the past (a survivor already past its doom time is
-     * preemptable at its very next boundary); callers must fall back
-     * to serial stepping for that round.
+     * preemptable at its very next boundary), which pins the window
+     * to the current boundary.
      */
     Time nextPossibleRequeueTime(Time now) const;
     /** @} */
@@ -262,9 +262,8 @@ class DeviceEngine
      * Every method takes the fault instant `t` and requires the bound
      * event queue to have been advanced to `t` (`queue_.now() == t`),
      * so any admission or trace activity it triggers stamps the fault
-     * time. All device-track trace writes stay on this engine — the
-     * single-writer contract the parallel coordinator relies on (it
-     * calls these only with the worker pool joined).
+     * time. All device-track trace writes stay on this engine (one
+     * writer per trace track).
      * @{
      */
     /**

@@ -45,17 +45,6 @@ EventQueue::runAll(std::uint64_t limit)
     return n;
 }
 
-std::uint64_t
-EventQueue::runBefore(Time t)
-{
-    std::uint64_t n = 0;
-    while (!heap_.empty() && heap_.front().when < t) {
-        runNext();
-        ++n;
-    }
-    return n;
-}
-
 void
 EventQueue::advanceTo(Time t)
 {

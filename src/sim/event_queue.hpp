@@ -46,19 +46,11 @@ class EventQueue
     /** Run events with time <= t, then advance now to t. */
     std::uint64_t runUntil(Time t);
     /**
-     * Run events with time strictly < t; `now` is left at the last
-     * executed event (not advanced to t). The parallel cluster engine
-     * drains each device's partition up to a lookahead horizon with
-     * this: events at exactly the horizon must wait for the global
-     * events (arrivals, requeues) that sort before them.
-     */
-    std::uint64_t runBefore(Time t);
-    /**
      * Advance `now` to t without running anything. Panics if an event
      * earlier than t is still pending — advancing past it would
-     * execute it in the past. Owners use this to line a partition's
-     * clock up with a globally-timestamped injection (an arrival
-     * dispatch) before scheduling into it.
+     * execute it in the past. The cluster engine uses this to stamp
+     * a fault instant that falls between two queue events, so the
+     * retries and trace writes the fault triggers carry its time.
      */
     void advanceTo(Time t);
 

@@ -12,9 +12,9 @@
  *    the measured E2E; rejects are pure queue wait; report roll-ups
  *    agree with the per-entry table.
  *  - AttributionDeterminism: the full waterfall table (every stamp,
- *    component and cause) is bit-identical across ClusterConfig::
- *    threads {1, 2, 4} and fastSim on/off, and the trace recorded
- *    with attribution on keeps the same byte-identity.
+ *    component and cause) is bit-identical across fastSim on/off,
+ *    and the trace recorded with attribution on keeps the same
+ *    byte-identity.
  *  - TraceReaderRoundTrip: every trace the engines emit parses with
  *    zero unknown/malformed events and zero batch mismatches (the
  *    C++ replacement for the CI jq checks); offline waterfalls obey
@@ -182,7 +182,7 @@ runServing(obs::LatencyWaterfall &wf, serving::SchedulePolicy policy,
  *  actually become doomed and reclamation fires. */
 cluster::ClusterReport
 runCluster(obs::LatencyWaterfall &wf, cluster::DispatchKind dispatch,
-           bool preempt, std::size_t threads, bool fast_sim,
+           bool preempt, bool fast_sim,
            obs::TraceRecorder *rec = nullptr)
 {
     cluster::ClusterConfig cfg;
@@ -200,7 +200,6 @@ runCluster(obs::LatencyWaterfall &wf, cluster::DispatchKind dispatch,
         for (auto &d : cfg.devices)
             d.poolTokens = std::max<std::size_t>(1, d.poolTokens / 4);
     }
-    cfg.threads = threads;
     cluster::ClusterEngine engine(cfg);
     return engine.run();
 }
@@ -309,7 +308,7 @@ TEST(WaterfallInvariants, ClusterDispatchAndPreemptSumBitwise)
         for (bool preempt : {false, true}) {
             obs::LatencyWaterfall wf;
             const cluster::ClusterReport rep =
-                runCluster(wf, dispatch, preempt, 1, true);
+                runCluster(wf, dispatch, preempt, true);
             const std::string what =
                 toString(dispatch) + (preempt ? "/preempt" : "");
             checkEntries(wf, what.c_str());
@@ -328,7 +327,7 @@ TEST(WaterfallInvariants, PreemptedVictimChargesPreemptLoss)
     // (JoinShortestKv balances its way out of preempting).
     obs::LatencyWaterfall wf;
     const cluster::ClusterReport rep = runCluster(
-        wf, cluster::DispatchKind::RoundRobin, true, 1, true);
+        wf, cluster::DispatchKind::RoundRobin, true, true);
     EXPECT_GT(rep.aggregate.summary.preemptions, 0u);
     bool saw_preempted = false;
     for (const obs::WaterfallEntry &e : wf.entries()) {
@@ -385,29 +384,12 @@ dumpEntries(const obs::LatencyWaterfall &wf)
     return out;
 }
 
-TEST(AttributionDeterminism, WaterfallBitIdenticalAcrossThreads)
-{
-    obs::LatencyWaterfall serial;
-    runCluster(serial, cluster::DispatchKind::RoundRobin, true, 1,
-               true);
-    const std::string want = dumpEntries(serial);
-    EXPECT_FALSE(want.empty());
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        obs::LatencyWaterfall wf;
-        runCluster(wf, cluster::DispatchKind::RoundRobin, true,
-                   threads, true);
-        EXPECT_EQ(dumpEntries(wf), want) << threads << " threads";
-    }
-}
-
 TEST(AttributionDeterminism, WaterfallBitIdenticalAcrossFastSim)
 {
     obs::LatencyWaterfall fast;
-    runCluster(fast, cluster::DispatchKind::RoundRobin, true, 1,
-               true);
+    runCluster(fast, cluster::DispatchKind::RoundRobin, true, true);
     obs::LatencyWaterfall slow;
-    runCluster(slow, cluster::DispatchKind::RoundRobin, true, 1,
-               false);
+    runCluster(slow, cluster::DispatchKind::RoundRobin, true, false);
     EXPECT_EQ(dumpEntries(fast), dumpEntries(slow));
 }
 
@@ -415,23 +397,16 @@ TEST(AttributionDeterminism, TracedRunStaysByteIdentical)
 {
     // Attribution adds slo instants to the trace; the enriched trace
     // must ride the same byte-identity contract as the bare one.
-    obs::TraceRecorder serial_rec;
-    obs::LatencyWaterfall serial_wf;
-    runCluster(serial_wf, cluster::DispatchKind::RoundRobin, true,
-               1, true, &serial_rec);
-    const std::string want = serial_rec.toJson();
+    obs::TraceRecorder fast_rec;
+    obs::LatencyWaterfall fast_wf;
+    runCluster(fast_wf, cluster::DispatchKind::RoundRobin, true, true,
+               &fast_rec);
+    const std::string want = fast_rec.toJson();
     EXPECT_NE(want.find("\"slo\""), std::string::npos);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        obs::TraceRecorder rec;
-        obs::LatencyWaterfall wf;
-        runCluster(wf, cluster::DispatchKind::RoundRobin, true,
-                   threads, true, &rec);
-        EXPECT_EQ(rec.toJson(), want) << threads << " threads";
-    }
     obs::TraceRecorder slow_rec;
     obs::LatencyWaterfall slow_wf;
-    runCluster(slow_wf, cluster::DispatchKind::RoundRobin, true, 1,
-               false, &slow_rec);
+    runCluster(slow_wf, cluster::DispatchKind::RoundRobin, true, false,
+               &slow_rec);
     EXPECT_EQ(slow_rec.toJson(), want) << "fastSim off";
 }
 
@@ -454,8 +429,8 @@ TEST(TraceReaderRoundTrip, EveryRecordedTraceParsesClean)
     {
         obs::TraceRecorder rec;
         obs::LatencyWaterfall wf;
-        runCluster(wf, cluster::DispatchKind::RoundRobin, true, 1,
-                   true, &rec);
+        runCluster(wf, cluster::DispatchKind::RoundRobin, true, true,
+                   &rec);
         expectCleanParse(rec.toJson(), "cluster preempt");
     }
     // Chunked single-device serving (prefill slices interleave).
@@ -499,8 +474,7 @@ TEST(TraceReaderRoundTrip, OfflineWaterfallsFoldBitwise)
     obs::TraceRecorder rec;
     obs::LatencyWaterfall wf;
     const cluster::ClusterReport rep = runCluster(
-        wf, cluster::DispatchKind::RoundRobin, true, 1, true,
-        &rec);
+        wf, cluster::DispatchKind::RoundRobin, true, true, &rec);
     obs::TraceReader reader;
     ASSERT_TRUE(reader.parse(rec.toJson()));
 
@@ -529,8 +503,8 @@ TEST(TraceReaderRoundTrip, CorruptionIsDetected)
 {
     obs::TraceRecorder rec;
     obs::LatencyWaterfall wf;
-    runCluster(wf, cluster::DispatchKind::JoinShortestKv, false, 1,
-               true, &rec);
+    runCluster(wf, cluster::DispatchKind::JoinShortestKv, false, true,
+               &rec);
     const std::string json = rec.toJson();
 
     // A mangled event line is malformed, not silently dropped.

@@ -263,6 +263,21 @@ TEST(ClusterDeterminism, DifferentSeedsDiffer)
               b.aggregate.summary.makespan.sec());
 }
 
+TEST(ClusterDeterminism, ThreadsOtherThanOneIsAFatalConfigError)
+{
+    // One shared event loop drives the fleet; a config asking for
+    // worker lanes is rejected up front, never silently run serially.
+    auto cfg = tinyClusterConfig(2, cluster::DispatchKind::RoundRobin,
+                                 serving::SchedulePolicy::Fcfs, 200.0,
+                                 1, 4);
+    for (std::size_t threads : {std::size_t{0}, std::size_t{2}}) {
+        cfg.threads = threads;
+        EXPECT_EXIT(cluster::ClusterEngine{cfg},
+                    ::testing::ExitedWithCode(1),
+                    "ClusterConfig::threads must be 1");
+    }
+}
+
 // ---- Dispatch policies --------------------------------------------------
 
 TEST(ClusterDispatch, ToStringParseRoundTripAndErrorEnumeration)

@@ -10,8 +10,8 @@
  *    fault report, Healthy fleet (the byte-level half of this
  *    contract is pinned by the unchanged pre-fault golden digests).
  *  - FaultDeterminism: a fixed fault seed produces bit-identical
- *    ClusterReports and trace bytes across threads {1,2,4} x fastSim
- *    on/off x preempt on/off.
+ *    ClusterReports and trace bytes across fastSim on/off x preempt
+ *    on/off.
  *  - FaultCrash: crash-eviction invariants — every request terminal,
  *    lost work accounted, the retry budget respected, permanent
  *    failures marked, Down devices fully released.
@@ -110,11 +110,9 @@ struct FaultRun
 };
 
 FaultRun
-runFaultCell(cluster::ClusterConfig cfg, std::size_t threads,
-             bool fast_sim)
+runFaultCell(cluster::ClusterConfig cfg, bool fast_sim)
 {
     obs::TraceRecorder rec;
-    cfg.threads = threads;
     cfg.engine.fastSim = fast_sim;
     cfg.engine.trace = &rec;
     cluster::ClusterEngine engine(cfg);
@@ -211,44 +209,35 @@ TEST(FaultNull, DisabledConfigKeepsReportEmptyAndFleetHealthy)
 
 // ---- FaultDeterminism ---------------------------------------------------
 
-TEST(FaultDeterminism, ThreadsAndFastSimBitIdentical)
+TEST(FaultDeterminism, FastSimBitIdentical)
 {
     for (std::uint64_t seed : {5u, 42u}) {
         const cluster::ClusterConfig cfg = tinyFaultCluster(3, seed);
-        const FaultRun serial = runFaultCell(cfg, 1, true);
+        const FaultRun fast = runFaultCell(cfg, true);
         // The fault stream must actually do something in this cell or
         // the invariance below is vacuous.
-        ASSERT_GT(serial.report.faults.crashes +
-                      serial.report.faults.slowdowns +
-                      serial.report.faults.shrinks,
+        ASSERT_GT(fast.report.faults.crashes +
+                      fast.report.faults.slowdowns +
+                      fast.report.faults.shrinks,
                   0u);
-        for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-            for (bool fast : {true, false}) {
-                std::string label = "s";
-                label += std::to_string(seed);
-                label += "/t";
-                label += std::to_string(threads);
-                label += fast ? "/fast" : "/slow";
-                const FaultRun par = runFaultCell(cfg, threads, fast);
-                EXPECT_EQ(serial.traceJson, par.traceJson) << label;
-                expectFaultReportsEqual(serial.report.faults,
-                                        par.report.faults, label);
-                EXPECT_EQ(serial.report.aggregate.summary.completed,
-                          par.report.aggregate.summary.completed)
-                    << label;
-                EXPECT_EQ(serial.report.aggregate.summary.rejected,
-                          par.report.aggregate.summary.rejected)
-                    << label;
-                EXPECT_EQ(
-                    serial.report.aggregate.summary.goodputTokensPerSec,
-                    par.report.aggregate.summary.goodputTokensPerSec)
-                    << label;
-                ASSERT_EQ(serial.health.size(), par.health.size());
-                for (std::size_t i = 0; i < serial.health.size(); ++i)
-                    EXPECT_EQ(serial.health[i], par.health[i])
-                        << label << " dev" << i;
-            }
-        }
+        // Appended piecewise: GCC 12 misreports `"s" + to_string()`
+        // as an overlapping memcpy under -Werror=restrict.
+        std::string label = "s";
+        label += std::to_string(seed);
+        const FaultRun slow = runFaultCell(cfg, false);
+        EXPECT_EQ(fast.traceJson, slow.traceJson) << label;
+        expectFaultReportsEqual(fast.report.faults, slow.report.faults,
+                                label);
+        EXPECT_EQ(fast.report.aggregate.summary.completed,
+                  slow.report.aggregate.summary.completed)
+            << label;
+        EXPECT_EQ(fast.report.aggregate.summary.rejected,
+                  slow.report.aggregate.summary.rejected)
+            << label;
+        EXPECT_EQ(fast.report.aggregate.summary.goodputTokensPerSec,
+                  slow.report.aggregate.summary.goodputTokensPerSec)
+            << label;
+        EXPECT_EQ(fast.health, slow.health) << label;
     }
 }
 
@@ -257,18 +246,11 @@ TEST(FaultDeterminism, PreemptionComposesBitIdentically)
     cluster::ClusterConfig cfg = tinyFaultCluster(3, 42);
     cfg.engine.preempt.enabled = true;
     cfg.engine.traffic.ratePerSec = 500.0;
-    const FaultRun serial = runFaultCell(cfg, 1, true);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        for (bool fast : {true, false}) {
-            const FaultRun par = runFaultCell(cfg, threads, fast);
-            EXPECT_EQ(serial.traceJson, par.traceJson)
-                << "t" << threads << (fast ? "/fast" : "/slow");
-            expectFaultReportsEqual(serial.report.faults,
-                                    par.report.faults,
-                                    "preempt/t" +
-                                        std::to_string(threads));
-        }
-    }
+    const FaultRun fast = runFaultCell(cfg, true);
+    const FaultRun slow = runFaultCell(cfg, false);
+    EXPECT_EQ(fast.traceJson, slow.traceJson);
+    expectFaultReportsEqual(fast.report.faults, slow.report.faults,
+                            "preempt");
 }
 
 // ---- FaultCrash ---------------------------------------------------------
@@ -365,7 +347,7 @@ TEST(FaultCrash, DownDevicesHoldNoKv)
     // grant (crashAt drops the full resident set).
     for (std::uint64_t seed : {1u, 9u, 42u, 77u}) {
         const FaultRun run =
-            runFaultCell(crashyCluster(seed), 1, true);
+            runFaultCell(crashyCluster(seed), true);
         for (std::size_t i = 0; i < run.health.size(); ++i) {
             if (run.health[i] == cluster::DeviceHealth::Down) {
                 EXPECT_EQ(run.allocatorInUseBytes[i], 0.0)
@@ -379,7 +361,7 @@ TEST(FaultCrash, DownDevicesHoldNoKv)
 
 TEST(FaultTrace, ReaderParsesFaultTaxonomyAndMissCause)
 {
-    const FaultRun run = runFaultCell(crashyCluster(), 1, true);
+    const FaultRun run = runFaultCell(crashyCluster(), true);
     obs::TraceReader reader;
     ASSERT_TRUE(reader.parse(run.traceJson));
     EXPECT_EQ(reader.stats().unknown, 0u);
@@ -454,18 +436,16 @@ TEST(ClientRetry, BudgetRespectedAndArrivalTraceUnchanged)
     }
 }
 
-TEST(ClientRetry, ThreadInvariantUnderFaults)
+TEST(ClientRetry, FastSimInvariantUnderFaults)
 {
     cluster::ClusterConfig cfg = tinyFaultCluster(2, 42);
     cfg.engine.clientRetries = 2;
     cfg.engine.clientRetryBackoffSec = 0.005;
-    const FaultRun serial = runFaultCell(cfg, 1, true);
-    for (std::size_t threads : {std::size_t{2}}) {
-        const FaultRun par = runFaultCell(cfg, threads, false);
-        EXPECT_EQ(serial.traceJson, par.traceJson);
-        expectFaultReportsEqual(serial.report.faults,
-                                par.report.faults, "client-retry");
-    }
+    const FaultRun fast = runFaultCell(cfg, true);
+    const FaultRun slow = runFaultCell(cfg, false);
+    EXPECT_EQ(fast.traceJson, slow.traceJson);
+    expectFaultReportsEqual(fast.report.faults, slow.report.faults,
+                            "client-retry");
 }
 
 } // namespace

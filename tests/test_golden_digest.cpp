@@ -15,6 +15,9 @@
  * re-record with the commands in each test and update the constants
  * in the same commit.
  *
+ * The BenchCli suite reuses the same harness to pin CLI input
+ * validation: bad flags exit non-zero with an error naming the flag.
+ *
  * Binaries are located through KELLE_BIN_DIR (the CMake binary dir,
  * injected by tests/CMakeLists.txt); a test skips when its binary was
  * not built (e.g. -DKELLE_BUILD_BENCH=OFF).
@@ -118,46 +121,26 @@ TEST(GoldenDigest, BenchClusterSmallHeteroConfig)
                  0x1bf07f53c96d1bb8ull);
 }
 
-TEST(GoldenDigest, BenchClusterThreadedMatchesSerialDigest)
+TEST(GoldenDigest, BenchClusterPreemptConfig)
 {
-    // The parallel cluster engine's whole contract in one line: the
-    // threaded run hashes to the *same* golden digest as the serial
-    // one above. A changed byte anywhere in the report means the
-    // lookahead/commit protocol reordered something observable.
-    expectDigest("bench/bench_cluster",
-                 "--devices 2 --hetero --requests 12 --sweep 0 "
-                 "--study 0 --threads 4",
-                 0x1bf07f53c96d1bb8ull);
-}
-
-TEST(GoldenDigest, BenchClusterThreadedPreemptMatchesSerialDigest)
-{
-    // Same pinning for the preempt-and-requeue path: the serialized
-    // fallback rounds must merge cross-device requeues exactly as the
-    // serial heap would. Serial and 4-lane digests are recorded from
-    // the same command modulo --threads, and must stay equal.
+    // The preempt-and-requeue path: same-time requeues from different
+    // devices pop in device-index order, so any change to the requeue
+    // event priorities shows up here.
     expectDigest("bench/bench_cluster",
                  "--devices 2 --hetero --requests 12 --sweep 0 "
                  "--study 0 --preempt --rate 0.08",
                  0x3f3f11f1704caf8cull);
-    expectDigest("bench/bench_cluster",
-                 "--devices 2 --hetero --requests 12 --sweep 0 "
-                 "--study 0 --preempt --rate 0.08 --threads 4",
-                 0x3f3f11f1704caf8cull);
 }
 
-TEST(GoldenDigest, BenchClusterFaultRunMatchesAcrossThreads)
+TEST(GoldenDigest, BenchClusterFaultRun)
 {
     // The fault-injection subsystem rides the same byte-exactness
     // contract: a seeded fault run (crashes, retries, the degradation
-    // ladder, the fault report table) is pinned, and the 4-lane run
-    // must hash to the same digest as the serial one. Faults OFF is
+    // ladder, the fault report table) is pinned. Faults OFF is
     // covered by every digest above staying unchanged — the null test.
-    const std::string flags = "--devices 2 --hetero --requests 12 "
-                              "--sweep 0 --study 0 --faults "
-                              "--mtbf 40 --mttr 10";
-    expectDigest("bench/bench_cluster", flags, 0x64c29f80073e442eull);
-    expectDigest("bench/bench_cluster", flags + " --threads 4",
+    expectDigest("bench/bench_cluster",
+                 "--devices 2 --hetero --requests 12 --sweep 0 "
+                 "--study 0 --faults --mtbf 40 --mttr 10",
                  0x64c29f80073e442eull);
 }
 
@@ -187,39 +170,33 @@ TEST(GoldenDigest, BenchClusterTraceFile)
     // The exported Perfetto trace is pinned exactly like the text
     // output: any byte drift in the event stream — an extra event, a
     // reordered track, a timestamp or formatting change — fails here.
-    // The threaded run must produce the *same* trace file.
     const std::string path = std::string(KELLE_BIN_DIR) +
                              "/bench/bench_cluster";
     if (!fileExists(path))
         GTEST_SKIP() << path << " not built";
-    const std::string flags = "--devices 2 --hetero --requests 12 "
-                              "--sweep 0 --study 0";
-    const std::uint64_t want = 0xc881545f5a9a4130ull;
-    for (const std::string threads : {" --threads 1", " --threads 4"}) {
-        const std::string trace =
-            std::string(::testing::TempDir()) + "/kelle_trace.json";
-        std::remove(trace.c_str());
-        int exit_code = 0;
-        const std::string out = capture(
-            path + " " + flags + threads + " --trace-out " + trace,
-            &exit_code);
-        ASSERT_EQ(exit_code, 0) << out;
-        const std::string bytes = slurp(trace);
-        ASSERT_FALSE(bytes.empty()) << "no trace written to " << trace;
-        EXPECT_EQ(fnv1a64(bytes), want)
-            << "trace bytes drifted (threads flag:" << threads
-            << "). If the change is deliberate, re-record from this "
-               "command's --trace-out file.";
-        std::remove(trace.c_str());
-    }
+    const std::string trace =
+        std::string(::testing::TempDir()) + "/kelle_trace.json";
+    std::remove(trace.c_str());
+    int exit_code = 0;
+    const std::string out =
+        capture(path + " --devices 2 --hetero --requests 12 --sweep 0 "
+                       "--study 0 --trace-out " + trace,
+                &exit_code);
+    ASSERT_EQ(exit_code, 0) << out;
+    const std::string bytes = slurp(trace);
+    ASSERT_FALSE(bytes.empty()) << "no trace written to " << trace;
+    EXPECT_EQ(fnv1a64(bytes), 0xc881545f5a9a4130ull)
+        << "trace bytes drifted. If the change is deliberate, "
+           "re-record from this command's --trace-out file.";
+    std::remove(trace.c_str());
 }
 
 TEST(GoldenDigest, BenchClusterAttributionReport)
 {
     // The attribution tables (latency waterfall + miss causes) ride
-    // the same byte-exactness contract as the rest of the report:
-    // serial and 4-lane runs must print identical bytes, pinned
-    // against the recorded digest. Components are exact decompositions
+    // the same byte-exactness contract as the rest of the report,
+    // pinned against the recorded digest. Components are exact
+    // decompositions
     // of deterministic sim times, so a drift here means either a
     // simulation change (expected to fail the digests above too) or
     // an attribution regression (fails only here).
@@ -231,8 +208,6 @@ TEST(GoldenDigest, BenchClusterAttributionReport)
                               "--pool 3072 --rate 0.2 "
                               "--slo-tpot 0.15 --attribution";
     expectDigest("bench/bench_cluster", flags, 0x2e8705693d5ceea0ull);
-    expectDigest("bench/bench_cluster", flags + " --threads 4",
-                 0x2e8705693d5ceea0ull);
 }
 
 TEST(GoldenDigest, KelleTraceReportOnRecordedTrace)
@@ -314,11 +289,12 @@ TEST(GoldenDigest, KelleTraceReportOnFaultTrace)
     std::remove(trace.c_str());
 }
 
-TEST(GoldenDigest, KelleTraceDiffThreadsIsEmpty)
+TEST(GoldenDigest, KelleTraceDiffFastSimIsEmpty)
 {
     // The determinism contract as a user-visible CLI check: traces
-    // recorded at --threads 1 and --threads 4 must byte-compare
-    // identical (`kelle_trace diff` exits 0).
+    // recorded with the fast path on (the default) and off
+    // (--fastsim 0, every decode boundary stepped as an event) must
+    // byte-compare identical (`kelle_trace diff` exits 0).
     const std::string bench = std::string(KELLE_BIN_DIR) +
                               "/bench/bench_cluster";
     const std::string cli = std::string(KELLE_BIN_DIR) +
@@ -329,26 +305,65 @@ TEST(GoldenDigest, KelleTraceDiffThreadsIsEmpty)
                               "--sweep 0 --study 0 --preempt "
                               "--pool 3072 --rate 0.2 "
                               "--slo-tpot 0.15 --attribution";
+    const std::string modes[2] = {"", " --fastsim 0"};
     std::string traces[2];
     int exit_code = 0;
-    for (int t : {0, 1}) {
-        traces[t] = std::string(::testing::TempDir()) +
-                    "/kelle_diff_t" + (t == 0 ? "1" : "4") + ".json";
-        std::remove(traces[t].c_str());
-        const std::string out = capture(
-            bench + " " + flags + " --threads " +
-                (t == 0 ? "1" : "4") + " --trace-out " + traces[t],
-            &exit_code);
+    for (int m : {0, 1}) {
+        traces[m] = std::string(::testing::TempDir()) +
+                    "/kelle_diff_fastsim" + (m == 0 ? "1" : "0") +
+                    ".json";
+        std::remove(traces[m].c_str());
+        const std::string out =
+            capture(bench + " " + flags + modes[m] + " --trace-out " +
+                        traces[m],
+                    &exit_code);
         ASSERT_EQ(exit_code, 0) << out;
     }
     const std::string out =
         capture(cli + " diff " + traces[0] + " " + traces[1],
                 &exit_code);
     EXPECT_EQ(exit_code, 0)
-        << "threads 1 vs 4 traces diverge:\n" << out;
+        << "fastSim on vs off traces diverge:\n" << out;
     EXPECT_NE(out.find("identical"), std::string::npos) << out;
     std::remove(traces[0].c_str());
     std::remove(traces[1].c_str());
+}
+
+// ---- BenchCli ------------------------------------------------------
+// Bad flags end the program with a usage error that names the flag,
+// never with a hang or a silently reinterpreted value.
+
+/** Run bench_cluster with `flags`; expect a non-zero exit whose
+ *  output contains `needle`. */
+void
+expectClusterFlagRejected(const std::string &flags,
+                          const std::string &needle)
+{
+    const std::string path = std::string(KELLE_BIN_DIR) +
+                             "/bench/bench_cluster";
+    if (!fileExists(path))
+        GTEST_SKIP() << path << " not built";
+    int exit_code = 0;
+    // `timeout` turns a regression back into a hang-free failure.
+    const std::string out =
+        capture("timeout 10 " + path + " " + flags, &exit_code);
+    EXPECT_NE(exit_code, 0) << flags << ":\n" << out;
+    EXPECT_NE(out.find(needle), std::string::npos)
+        << flags << ":\n" << out;
+}
+
+TEST(BenchCli, ClusterRejectsOutOfRangeRetries)
+{
+    // -1 must not wrap to a 4-billion retry budget, which spins for
+    // hours on a fault run.
+    expectClusterFlagRejected("--faults --retries -1", "--retries");
+    expectClusterFlagRejected("--faults --retries 4294967296",
+                              "--retries");
+}
+
+TEST(BenchCli, ClusterRejectsRemovedThreadsFlag)
+{
+    expectClusterFlagRejected("--threads 4", "unknown flag --threads");
 }
 
 } // namespace

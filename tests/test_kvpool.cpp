@@ -14,9 +14,8 @@
  *    pool), INT8/INT4 page capacity scaling, the sessions knob's
  *    byte-identical arrival stream.
  *  - PagedDeterminism: paged + sessions cluster runs are bit-identical
- *    across thread counts and fastSim on/off, reports and trace bytes
- *    alike (the contract that lets paged mode ride the parallel
- *    engine and the fast-forward path).
+ *    across fastSim on/off, reports and trace bytes alike (the
+ *    contract that lets paged mode ride the fast-forward path).
  */
 
 #include <string>
@@ -429,7 +428,7 @@ TEST(PagedServing, SharedPrefixesRaiseResidentTokensOnTightPool)
 // ---- PagedDeterminism ----------------------------------------------
 
 cluster::ClusterConfig
-pagedClusterConfig(std::size_t threads, bool fast_sim)
+pagedClusterConfig(bool fast_sim)
 {
     serving::ServingConfig cfg = tinyServingConfig();
     cfg.maxBatch = 12;
@@ -442,10 +441,8 @@ pagedClusterConfig(std::size_t threads, bool fast_sim)
     cfg.fastSim = fast_sim;
     cfg.paged.enabled = true;
     cfg.paged.blockTokens = 8;
-    cluster::ClusterConfig ccfg = cluster::clusterConfigFrom(
+    return cluster::clusterConfigFrom(
         cfg, 2, cluster::DispatchKind::JoinShortestKv);
-    ccfg.threads = threads;
-    return ccfg;
 }
 
 void
@@ -478,52 +475,36 @@ expectPagedReportsEqual(const serving::ServingReport &a,
     EXPECT_EQ(a.paged.budgetClips, b.paged.budgetClips) << label;
 }
 
-TEST(PagedDeterminism, ReportsBitIdenticalAcrossThreadsAndFastSim)
+TEST(PagedDeterminism, ReportsBitIdenticalAcrossFastSim)
 {
     const auto baseline =
-        cluster::ClusterEngine(pagedClusterConfig(1, true)).run();
+        cluster::ClusterEngine(pagedClusterConfig(true)).run();
     // The tight pool must actually exercise the paged machinery, or
     // this test pins nothing.
     EXPECT_GT(baseline.aggregate.paged.prefixHitTokens, 0u);
     EXPECT_GT(baseline.aggregate.paged.budgetClips +
                   baseline.aggregate.paged.tailReclaims,
               0u);
-    for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-        const auto par =
-            cluster::ClusterEngine(pagedClusterConfig(threads, true))
-                .run();
-        expectPagedReportsEqual(
-            baseline.aggregate, par.aggregate,
-            "threads " + std::to_string(threads));
-    }
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        const auto oracle =
-            cluster::ClusterEngine(pagedClusterConfig(threads, false))
-                .run();
-        expectPagedReportsEqual(
-            baseline.aggregate, oracle.aggregate,
-            "fastSim off, threads " + std::to_string(threads));
-    }
+    const auto oracle =
+        cluster::ClusterEngine(pagedClusterConfig(false)).run();
+    expectPagedReportsEqual(baseline.aggregate, oracle.aggregate,
+                            "fastSim off");
 }
 
-TEST(PagedDeterminism, TraceBytesIdenticalAcrossThreadsAndFastSim)
+TEST(PagedDeterminism, TraceBytesIdenticalAcrossFastSim)
 {
-    const auto traced = [](std::size_t threads, bool fast_sim) {
+    const auto traced = [](bool fast_sim) {
         obs::TraceRecorder rec;
-        cluster::ClusterConfig cfg =
-            pagedClusterConfig(threads, fast_sim);
+        cluster::ClusterConfig cfg = pagedClusterConfig(fast_sim);
         cfg.engine.trace = &rec;
         cluster::ClusterEngine(cfg).run();
         return rec.toJson();
     };
-    const std::string serial = traced(1, true);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_NE(serial.find("kv_pages_free"), std::string::npos);
-    EXPECT_NE(serial.find("kv_prefix_hit_tokens"), std::string::npos);
-    EXPECT_EQ(serial, traced(2, true));
-    EXPECT_EQ(serial, traced(4, true));
-    EXPECT_EQ(serial, traced(1, false));
-    EXPECT_EQ(serial, traced(4, false));
+    const std::string fast = traced(true);
+    EXPECT_FALSE(fast.empty());
+    EXPECT_NE(fast.find("kv_pages_free"), std::string::npos);
+    EXPECT_NE(fast.find("kv_prefix_hit_tokens"), std::string::npos);
+    EXPECT_EQ(fast, traced(false));
 }
 
 } // namespace

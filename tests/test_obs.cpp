@@ -3,9 +3,9 @@
  * The observability layer's contracts (src/obs):
  *
  *  - TraceDeterminism: the exported Chrome trace-event JSON is
- *    byte-identical across ClusterConfig::threads = {1, 2, 4} and
- *    fastSim on/off on the same seed — the trace rides the same
- *    bit-reproducibility guarantee as the simulation outputs.
+ *    byte-identical across fastSim on/off and across reruns on the
+ *    same seed — the trace rides the same bit-reproducibility
+ *    guarantee as the simulation outputs.
  *  - TraceInvariants: structural properties of any recorded trace —
  *    per-track monotone non-decreasing sim time, every request span
  *    opens before it closes (arrival precedes completion/rejection),
@@ -102,7 +102,7 @@ namespace {
 /** A small hetero cluster config that exercises admission pressure,
  *  deferral and (with preempt) requeues — every event kind matters. */
 cluster::ClusterConfig
-traceConfig(std::size_t threads, bool fast_sim, bool preempt = false)
+traceConfig(bool fast_sim, bool preempt = false)
 {
     cluster::ClusterConfig cfg;
     cfg.engine.traffic.ratePerSec = preempt ? 0.08 : 0.05;
@@ -111,15 +111,14 @@ traceConfig(std::size_t threads, bool fast_sim, bool preempt = false)
     cfg.engine.fastSim = fast_sim;
     cfg.engine.preempt.enabled = preempt;
     cfg.devices = cluster::heteroEdramSramFleet(2, 2048, 8192, 4096, 8);
-    cfg.threads = threads;
     return cfg;
 }
 
 std::string
-runTraced(std::size_t threads, bool fast_sim, bool preempt = false)
+runTraced(bool fast_sim, bool preempt = false)
 {
     obs::TraceRecorder rec;
-    cluster::ClusterConfig cfg = traceConfig(threads, fast_sim, preempt);
+    cluster::ClusterConfig cfg = traceConfig(fast_sim, preempt);
     cfg.engine.trace = &rec;
     cluster::ClusterEngine engine(cfg);
     engine.run();
@@ -128,33 +127,23 @@ runTraced(std::size_t threads, bool fast_sim, bool preempt = false)
 
 // ---- TraceDeterminism ----------------------------------------------
 
-TEST(TraceDeterminism, JsonByteIdenticalAcrossThreadCounts)
-{
-    const std::string serial = runTraced(1, true);
-    EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, runTraced(2, true));
-    EXPECT_EQ(serial, runTraced(4, true));
-}
-
 TEST(TraceDeterminism, JsonByteIdenticalAcrossFastSimModes)
 {
     // The fast-forward path must replay per-boundary defer/decode
     // events exactly as the step-at-a-time path emits them.
-    const std::string fast = runTraced(1, true);
-    EXPECT_EQ(fast, runTraced(1, false));
-    EXPECT_EQ(fast, runTraced(4, false));
+    const std::string fast = runTraced(true);
+    EXPECT_FALSE(fast.empty());
+    EXPECT_EQ(fast, runTraced(false));
 }
 
-TEST(TraceDeterminism, PreemptRequeueTraceIsThreadInvariant)
+TEST(TraceDeterminism, PreemptRequeueTraceIsFastSimInvariant)
 {
-    const std::string serial = runTraced(1, true, true);
-    EXPECT_EQ(serial, runTraced(4, true, true));
-    EXPECT_EQ(serial, runTraced(1, false, true));
+    EXPECT_EQ(runTraced(true, true), runTraced(false, true));
 }
 
 TEST(TraceDeterminism, RerunIsBitIdentical)
 {
-    EXPECT_EQ(runTraced(2, true), runTraced(2, true));
+    EXPECT_EQ(runTraced(true), runTraced(true));
 }
 
 // ---- TraceInvariants -----------------------------------------------
@@ -172,7 +161,7 @@ allTracks(const obs::TraceRecorder &rec)
 TEST(TraceInvariants, PerTrackSimTimeIsMonotoneAndSpansWellFormed)
 {
     obs::TraceRecorder rec;
-    cluster::ClusterConfig cfg = traceConfig(1, true, true);
+    cluster::ClusterConfig cfg = traceConfig(true, true);
     cfg.engine.trace = &rec;
     cluster::ClusterEngine engine(cfg);
     engine.run();
@@ -220,7 +209,7 @@ TEST(TraceInvariants, PerTrackSimTimeIsMonotoneAndSpansWellFormed)
 
 TEST(TraceInvariants, JsonIsWellFormedAndCoversEventTypes)
 {
-    const std::string json = runTraced(1, true);
+    const std::string json = runTraced(true);
     // Cheap structural checks (CI additionally runs jq over a real
     // bench artifact): header, one event per line, balanced close.
     EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""),
@@ -280,7 +269,7 @@ TEST(DisabledRecorder, ReportBitIdenticalWithTracingOnAndOff)
     // Tracing observes; it must never perturb simulation outputs.
     auto summaryOf = [](bool traced) {
         obs::TraceRecorder rec;
-        cluster::ClusterConfig cfg = traceConfig(1, true, true);
+        cluster::ClusterConfig cfg = traceConfig(true, true);
         if (traced)
             cfg.engine.trace = &rec;
         cluster::ClusterEngine engine(cfg);
@@ -298,12 +287,12 @@ TEST(DisabledRecorder, ReportBitIdenticalWithTracingOnAndOff)
 TEST(DisabledRecorder, ProfilerObservesWithoutPerturbing)
 {
     obs::PhaseProfiler prof;
-    cluster::ClusterConfig cfg = traceConfig(2, true);
+    cluster::ClusterConfig cfg = traceConfig(true);
     cfg.engine.profiler = &prof;
     cluster::ClusterEngine engine(cfg);
     const cluster::ClusterReport with = engine.run();
 
-    cluster::ClusterEngine plain(traceConfig(2, true));
+    cluster::ClusterEngine plain(traceConfig(true));
     const cluster::ClusterReport without = plain.run();
     EXPECT_EQ(with.aggregate.summary.completed,
               without.aggregate.summary.completed);
@@ -362,7 +351,7 @@ TEST(MetricsRoundTrip, ResamplingIsLastValueHold)
 TEST(MetricsRoundTrip, IngestTraceLiftsCountersAndHistograms)
 {
     obs::TraceRecorder rec;
-    cluster::ClusterConfig cfg = traceConfig(1, true);
+    cluster::ClusterConfig cfg = traceConfig(true);
     cfg.engine.trace = &rec;
     cluster::ClusterEngine engine(cfg);
     const cluster::ClusterReport rep = engine.run();

@@ -372,6 +372,63 @@ TEST(FastPathEquivalence, SchedulerFastVsSlowAcrossPolicies)
     }
 }
 
+/** What the fast half of a fast-vs-slow cluster comparison did. */
+struct FastRun
+{
+    cluster::ClusterReport report;
+    std::uint64_t fastForwarded = 0;
+};
+
+/** Run `cfg` with fastSim on and off and require field-for-field
+ *  identical fleet reports. */
+FastRun
+expectClusterFastEqSlow(const cluster::ClusterConfig &cfg)
+{
+    auto slow_cfg = cfg;
+    slow_cfg.engine.fastSim = false;
+    cluster::ClusterEngine fast(cfg);
+    cluster::ClusterEngine slow(slow_cfg);
+    FastRun run;
+    run.report = fast.run();
+    const auto sr = slow.run();
+    const auto &fr = run.report;
+    expectReportEq(fr.aggregate, sr.aggregate);
+    EXPECT_EQ(fr.devices.size(), sr.devices.size());
+    for (std::size_t i = 0;
+         i < std::min(fr.devices.size(), sr.devices.size()); ++i) {
+        expectReportEq(fr.devices[i].report, sr.devices[i].report);
+        EXPECT_EQ(fr.devices[i].dispatched, sr.devices[i].dispatched);
+        EXPECT_EQ(fr.devices[i].busySec, sr.devices[i].busySec);
+        EXPECT_EQ(fr.devices[i].kvPeakUtilization,
+                  sr.devices[i].kvPeakUtilization);
+    }
+    EXPECT_EQ(fr.loadImbalanceCv, sr.loadImbalanceCv);
+    EXPECT_EQ(fr.refreshEnergyJ, sr.refreshEnergyJ);
+    for (std::size_t i = 0; i < fast.deviceCount(); ++i)
+        run.fastForwarded += fast.device(i).fastForwardedSteps();
+    return run;
+}
+
+/** A 2-device TinyLM fleet under a 2000 req/s burst: small pools and
+ *  batch caps keep every device saturated. */
+cluster::ClusterConfig
+tinyBurstConfig(cluster::DispatchKind dispatch,
+                serving::SchedulePolicy policy, std::size_t requests)
+{
+    serving::ServingConfig cfg;
+    cfg.model = model::tinyLm();
+    cfg.system = accel::kelleEdramSystem(2048);
+    cfg.policy = policy;
+    cfg.maxBatch = 4;
+    cfg.poolTokens = 512;
+    cfg.traffic.ratePerSec = 2000.0;
+    cfg.traffic.seed = 13;
+    cfg.traffic.numRequests = requests;
+    cfg.traffic.mix = {{sim::scaledForTiny(sim::lambada(), 96), 1.0},
+                       {sim::scaledForTiny(sim::triviaQa(), 128), 1.0}};
+    return cluster::clusterConfigFrom(cfg, 2, dispatch);
+}
+
 TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
 {
     for (const auto dispatch : cluster::allDispatchPolicies()) {
@@ -386,26 +443,39 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
             cfg.dispatch = dispatch;
             cfg.devices = cluster::heteroEdramSramFleet(
                 2, 2048, 8192, 4096, 8);
-            auto slow_cfg = cfg;
-            slow_cfg.engine.fastSim = false;
-            cluster::ClusterEngine fast(cfg);
-            cluster::ClusterEngine slow(slow_cfg);
-            const auto fr = fast.run();
-            const auto sr = slow.run();
-            expectReportEq(fr.aggregate, sr.aggregate);
-            ASSERT_EQ(fr.devices.size(), sr.devices.size());
-            for (std::size_t i = 0; i < fr.devices.size(); ++i) {
-                expectReportEq(fr.devices[i].report,
-                               sr.devices[i].report);
-                EXPECT_EQ(fr.devices[i].dispatched,
-                          sr.devices[i].dispatched);
-                EXPECT_EQ(fr.devices[i].busySec, sr.devices[i].busySec);
-                EXPECT_EQ(fr.devices[i].kvPeakUtilization,
-                          sr.devices[i].kvPeakUtilization);
-            }
-            EXPECT_EQ(fr.loadImbalanceCv, sr.loadImbalanceCv);
-            EXPECT_EQ(fr.refreshEnergyJ, sr.refreshEnergyJ);
+            expectClusterFastEqSlow(cfg);
         }
+    }
+
+    // A 2 us TPOT target dooms nearly every decode: the fast path's
+    // doom bounds must reproduce the slow path's preemptions and
+    // cross-device requeues.
+    {
+        auto cfg = tinyBurstConfig(
+            cluster::DispatchKind::JoinShortestKv,
+            serving::SchedulePolicy::ContinuousBatching, 24);
+        cfg.engine.traffic.slo.tpotSec = 2e-6;
+        cfg.engine.preempt.enabled = true;
+        const FastRun run = expectClusterFastEqSlow(cfg);
+        EXPECT_GT(run.report.aggregate.summary.preemptions, 0u);
+    }
+
+    // A 96-token pool under sjf/edf (skip-blocked admission): devices
+    // sit KV-blocked and fast-forward through the gap, and the relaxed
+    // fast-forward guard must replay the slow path's deferrals.
+    for (auto policy : {serving::SchedulePolicy::SjfWithinDeadline,
+                        serving::SchedulePolicy::EdfChunked}) {
+        auto cfg = tinyBurstConfig(cluster::DispatchKind::RoundRobin,
+                                   policy, 16);
+        cfg.engine.chunkTokens = 16;
+        for (auto &d : cfg.devices)
+            d.poolTokens = 96;
+        cfg.engine.poolTokens = 96;
+        const FastRun run = expectClusterFastEqSlow(cfg);
+        EXPECT_TRUE(run.report.aggregate.drained) << toString(policy);
+        EXPECT_GT(run.report.aggregate.deferrals, 0u)
+            << toString(policy);
+        EXPECT_GT(run.fastForwarded, 0u) << toString(policy);
     }
 }
 
@@ -451,8 +521,8 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
 }
 
 // ---- EventQueueWindow ----------------------------------------------
-// The window primitives the parallel cluster engine leans on: the
-// empty-queue sentinel, strict-horizon draining, and clock alignment.
+// The primitives the fast-forward horizon and the fault loop lean on:
+// the empty-queue sentinel and clock alignment.
 
 TEST(EventQueueWindow, NextEventTimeIsInfinityWhenEmptyOrDrained)
 {
@@ -462,32 +532,10 @@ TEST(EventQueueWindow, NextEventTimeIsInfinityWhenEmptyOrDrained)
     EXPECT_DOUBLE_EQ(q.nextEventTime().us(), 3.0);
     q.runAll();
     // Draining restores the sentinel; it still compares greater than
-    // any finite horizon (the coordinator's min() relies on that).
+    // any finite horizon (the fast-forward bound's min() relies on
+    // that).
     EXPECT_TRUE(std::isinf(q.nextEventTime().sec()));
     EXPECT_GT(q.nextEventTime(), Time::seconds(1e30));
-}
-
-TEST(EventQueueWindow, RunBeforeIsStrictAndLeavesNowAtLastExecuted)
-{
-    sim::EventQueue q;
-    int ran = 0;
-    q.schedule(Time::micros(1), [&] { ++ran; });
-    q.schedule(Time::micros(2), [&] { ++ran; });
-    q.schedule(Time::micros(3), [&] { ++ran; });
-    // Events at exactly the horizon must wait for the global events
-    // that sort before them, so only t=1 runs...
-    EXPECT_EQ(q.runBefore(Time::micros(2)), 1u);
-    EXPECT_EQ(ran, 1);
-    // ...and the clock stays at the last executed event, not the
-    // horizon, so a later global injection at t=2 is not "the past".
-    EXPECT_DOUBLE_EQ(q.now().us(), 1.0);
-    EXPECT_DOUBLE_EQ(q.nextEventTime().us(), 2.0);
-    EXPECT_EQ(q.runBefore(Time::micros(10)), 2u);
-    EXPECT_EQ(ran, 3);
-    EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
-    // Empty queue: a no-op, not an advance.
-    EXPECT_EQ(q.runBefore(Time::micros(20)), 0u);
-    EXPECT_DOUBLE_EQ(q.now().us(), 3.0);
 }
 
 TEST(EventQueueWindow, AdvanceToMovesTheClockWithoutRunning)
@@ -499,7 +547,7 @@ TEST(EventQueueWindow, AdvanceToMovesTheClockWithoutRunning)
     EXPECT_EQ(ran, 0);
     EXPECT_DOUBLE_EQ(q.now().us(), 4.0);
     // The aligned clock accepts an injection at the new now (the
-    // arrival-dispatch pattern) and never re-runs anything early.
+    // fault-retry pattern) and never re-runs anything early.
     q.schedule(Time::micros(4), [&] { ++ran; });
     q.runAll();
     EXPECT_EQ(ran, 2);

@@ -18,8 +18,8 @@
  *
  * Every output byte is a pure function of the input trace bytes
  * (fixed printf formats, index-ordered iteration), so reports diff
- * cleanly across runs and the threads-1-vs-4 CI smoke can assert
- * byte-identical output.
+ * cleanly across runs, and `diff` can check that two engine modes
+ * (say, fastSim on and off) recorded byte-identical traces.
  */
 
 #include <algorithm>
