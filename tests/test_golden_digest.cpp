@@ -2,8 +2,9 @@
  * @file
  * Golden-digest regression tier: the full text output (stdout +
  * stderr) of the serving/cluster benches and the edge_server example
- * on a small deterministic config is hashed (FNV-1a 64) against a
- * checked-in digest. Any future perf work that perturbs a single
+ * on a small deterministic config, and of every paper figure/table
+ * bench and functional-twin example on its default run, is hashed
+ * (FNV-1a 64) against a checked-in digest. Any future perf work that perturbs a single
  * byte of the simulation's observable results — a latency, an energy
  * figure, a percentile, a log line — fails here in tier 1 rather
  * than surfacing as a silent result drift.
@@ -327,6 +328,122 @@ TEST(GoldenDigest, KelleTraceDiffFastSimIsEmpty)
     EXPECT_NE(out.find("identical"), std::string::npos) << out;
     std::remove(traces[0].c_str());
     std::remove(traces[1].c_str());
+}
+
+// ---- PaperDigest ---------------------------------------------------
+// Every paper figure/table bench and every functional-twin example is
+// pinned byte-for-byte on its default (argument-free) run, so a
+// kernel or cache change that moves a single printed paper number
+// fails here. Record with `<binary> 2>&1 | <fnv1a64>` on the commit
+// before the change and update the constant only for a reviewed,
+// deliberate output change. PaperDigestSlow holds the pins whose
+// binaries take seconds; they run in the slow tier (ctest -L slow).
+
+TEST(PaperDigest, BenchFig3Motivation)
+{
+    expectDigest("bench/bench_fig3_motivation", "",
+                 0x3dfb093ccebb2efcull);
+}
+
+TEST(PaperDigest, BenchFig4Retention)
+{
+    expectDigest("bench/bench_fig4_retention", "", 0xf2bcf775820506cbull);
+}
+
+TEST(PaperDigestSlow, BenchFig8Bitflip)
+{
+    expectDigest("bench/bench_fig8_bitflip", "", 0xd2c7fa43fff6cf2dull);
+}
+
+TEST(PaperDigest, BenchFig13End2end)
+{
+    expectDigest("bench/bench_fig13_end2end", "", 0x0923b9df5bb85a35ull);
+}
+
+TEST(PaperDigest, BenchFig14Accelerators)
+{
+    expectDigest("bench/bench_fig14_accelerators", "",
+                 0x9da19583f3dbe889ull);
+}
+
+TEST(PaperDigest, BenchFig15Ablation)
+{
+    expectDigest("bench/bench_fig15_ablation", "", 0xdc8a47c36298bb4eull);
+}
+
+TEST(PaperDigest, BenchFig16Roofline)
+{
+    expectDigest("bench/bench_fig16_roofline", "", 0x02944c1e219f65feull);
+}
+
+TEST(PaperDigest, BenchTable1Memcmp)
+{
+    expectDigest("bench/bench_table1_memcmp", "", 0xe737388dfdbae875ull);
+}
+
+TEST(PaperDigest, BenchTable2Accuracy)
+{
+    expectDigest("bench/bench_table2_accuracy", "", 0x8d93fa5775b77617ull);
+}
+
+TEST(PaperDigest, BenchTable3Budget)
+{
+    expectDigest("bench/bench_table3_budget", "", 0x70c8c70e8ad81415ull);
+}
+
+TEST(PaperDigest, BenchTable4Drp)
+{
+    expectDigest("bench/bench_table4_2drp", "", 0xd163410b59a2bfa5ull);
+}
+
+TEST(PaperDigest, BenchTable5Qualitative)
+{
+    expectDigest("bench/bench_table5_qualitative", "",
+                 0x0da56e47293cb5e1ull);
+}
+
+TEST(PaperDigest, BenchTable6Quant)
+{
+    expectDigest("bench/bench_table6_quant", "", 0x5794aaafed9f2439ull);
+}
+
+TEST(PaperDigest, BenchTable7BudgetEnergy)
+{
+    expectDigest("bench/bench_table7_budget_energy", "",
+                 0x54bc484202b0f9e2ull);
+}
+
+TEST(PaperDigest, BenchTable8RetentionEnergy)
+{
+    expectDigest("bench/bench_table8_retention_energy", "",
+                 0x821d654e0693e3e0ull);
+}
+
+TEST(PaperDigest, BenchTable9Batch)
+{
+    expectDigest("bench/bench_table9_batch", "", 0xcbbf37934a3727fcull);
+}
+
+TEST(PaperDigest, BenchSec84LongContext)
+{
+    expectDigest("bench/bench_sec84_longcontext", "",
+                 0x4d0054fde75a6608ull);
+}
+
+TEST(PaperDigest, QuickstartExample)
+{
+    expectDigest("examples/quickstart", "", 0x9f548066ead49898ull);
+}
+
+TEST(PaperDigest, LongContextReaderExample)
+{
+    expectDigest("examples/long_context_reader", "",
+                 0x002de1fb904aea0eull);
+}
+
+TEST(PaperDigest, RefreshTuningExample)
+{
+    expectDigest("examples/refresh_tuning", "", 0x112c13a74770d59eull);
 }
 
 // ---- BenchCli ------------------------------------------------------
