@@ -15,6 +15,7 @@
 #include "accel/capacity.hpp"
 #include "bench_util.hpp"
 #include "common/arg_parser.hpp"
+#include "common/log.hpp"
 #include "common/table.hpp"
 #include "tensor/quant.hpp"
 
@@ -38,6 +39,8 @@ main(int argc, char **argv)
                    "the shared session prefix");
     if (!args.parse(argc, argv))
         return args.exitCode();
+    if (args.getSize("block-tokens") == 0)
+        KELLE_FATAL("flag --block-tokens must be positive");
 
     const auto m = model::llama2_7b();
     bench::banner("Section 8.4.1: long-context capacity on 16 GB DRAM "

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,13 @@ baseConfig(const common::ArgParser &args)
         cfg.paged.enabled = true;
         cfg.paged.blockTokens = args.getSize("block-tokens");
         cfg.paged.quantBits = args.getInt("kv-quant");
+        const std::string err = cfg.paged.validate();
+        if (!err.empty()) {
+            std::fprintf(stderr,
+                         "invalid --block-tokens / --kv-quant: %s\n",
+                         err.c_str());
+            std::exit(1);
+        }
     }
     return cfg;
 }

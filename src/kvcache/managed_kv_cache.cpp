@@ -34,6 +34,9 @@ void
 ManagedKvCache::setRecomputer(Recomputer fn)
 {
     recomputer_ = std::move(fn);
+    for (auto &ls : state_)
+        for (auto &tok : ls.tokens)
+            tok.recomputedKv.clear();
 }
 
 void
@@ -151,6 +154,8 @@ ManagedKvCache::evictSlot(LayerState &ls, std::size_t head, std::size_t slot)
     if (--tok.retainingHeads == 0) {
         tok.xBits.clear();
         tok.xBits.shrink_to_fit();
+        tok.recomputedKv.clear();
+        tok.recomputedKv.shrink_to_fit();
         tok.xStored = false;
     }
     stats_.add("evictions", 1);
@@ -240,10 +245,6 @@ ManagedKvCache::append(std::size_t layer, std::int64_t pos,
     auto &ls = state_[layer];
     KELLE_ASSERT(pos > ls.lastPos, "append positions must increase");
     ls.lastPos = pos;
-    // Invalidate the per-step recompute memo: a new decode step begins.
-    ls.memoIds.clear();
-    ls.memoK.clear();
-    ls.memoV.clear();
 
     resolveProbation(ls, pos);
 
@@ -408,21 +409,17 @@ ManagedKvCache::loadPrefill(std::size_t layer, const tensor::Matrix &k,
     stats_.add("prefill_tokens", static_cast<double>(n_ctx));
 }
 
-void
-ManagedKvCache::recomputeToken(LayerState &ls, std::size_t layer,
-                               std::int32_t token_id,
-                               std::vector<float> &k_out,
-                               std::vector<float> &v_out)
+std::span<const float>
+ManagedKvCache::recomputeToken(const LayerState &ls, std::size_t layer,
+                               TokenRec &tok)
 {
-    for (std::size_t i = 0; i < ls.memoIds.size(); ++i) {
-        if (ls.memoIds[i] == token_id) {
-            k_out = ls.memoK[i];
-            v_out = ls.memoV[i];
-            return;
-        }
+    if (tok.recomputedAt != ls.lastPos) {
+        tok.recomputedAt = ls.lastPos;
+        stats_.add("recomputes", 1);
     }
+    if (!tok.recomputedKv.empty())
+        return tok.recomputedKv;
     KELLE_ASSERT(recomputer_, "recompute requested without a recomputer");
-    auto &tok = ls.tokens[token_id];
     KELLE_ASSERT(!tok.xBits.empty(), "x-stored token lost its input bits");
 
     // Retention faults on x are drawn once over its stored lifetime
@@ -439,20 +436,15 @@ ManagedKvCache::recomputeToken(LayerState &ls, std::size_t layer,
     for (std::size_t i = 0; i < tok.xBits.size(); ++i)
         xf[i] = decode(tok.xBits[i], tok.xScale);
 
-    k_out.assign(kvHeads_ * headDim_, 0.0f);
-    v_out.assign(kvHeads_ * headDim_, 0.0f);
-    recomputer_(layer, xf, tok.pos, k_out, v_out);
+    const std::size_t d_kv = kvHeads_ * headDim_;
+    tok.recomputedKv.assign(2 * d_kv, 0.0f);
+    const std::span<float> kv(tok.recomputedKv);
+    recomputer_(layer, xf, tok.pos, kv.first(d_kv), kv.subspan(d_kv));
     // The RSA emits fp16 partial results; recomputed vectors are
     // transient but still fp16-precision (Section 5.2).
-    for (auto &f : k_out)
+    for (auto &f : tok.recomputedKv)
         f = tensor::roundToHalf(f);
-    for (auto &f : v_out)
-        f = tensor::roundToHalf(f);
-
-    ls.memoIds.push_back(token_id);
-    ls.memoK.push_back(k_out);
-    ls.memoV.push_back(v_out);
-    stats_.add("recomputes", 1);
+    return tok.recomputedKv;
 }
 
 Gathered
@@ -490,17 +482,17 @@ ManagedKvCache::gather(std::size_t layer, std::size_t kv_head)
 
     for (std::size_t i = 0; i < entries.size(); ++i) {
         auto &e = entries[i];
-        const auto &tok = ls.tokens[e.tokenId];
+        auto &tok = ls.tokens[e.tokenId];
         out.slots[i] = static_cast<std::uint32_t>(i);
         out.positions[i] = tok.pos;
 
         if (tok.xStored) {
-            std::vector<float> kf, vf;
-            recomputeToken(ls, layer, e.tokenId, kf, vf);
-            const std::size_t off = kv_head * headDim_;
+            const auto kv = recomputeToken(ls, layer, tok);
+            const std::size_t k_off = kv_head * headDim_;
+            const std::size_t v_off = k_off + kvHeads_ * headDim_;
             for (std::size_t d = 0; d < headDim_; ++d) {
-                out.k.at(i, d) = kf[off + d];
-                out.v.at(i, d) = vf[off + d];
+                out.k.at(i, d) = kv[k_off + d];
+                out.v.at(i, d) = kv[v_off + d];
             }
             continue;
         }
@@ -550,14 +542,6 @@ ManagedKvCache::importanceOf(std::size_t layer, std::size_t kv_head,
                              std::uint32_t slot) const
 {
     return state_.at(layer).heads.at(kv_head).at(slot).importance;
-}
-
-std::int64_t
-ManagedKvCache::positionOf(std::size_t layer, std::size_t kv_head,
-                           std::uint32_t slot) const
-{
-    const auto &ls = state_.at(layer);
-    return ls.tokens.at(ls.heads.at(kv_head).at(slot).tokenId).pos;
 }
 
 bool

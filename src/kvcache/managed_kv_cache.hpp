@@ -22,6 +22,11 @@
  *    recent window ("probation"); until then x is held in the
  *    activation buffer, matching the hardware flow where recent
  *    activations are resident in the 256 KB activation eDRAM.
+ *    The modelled hardware recomputes on every decode step that reads
+ *    the token, and the "recomputes" stat counts each (token, step)
+ *    once. The host computes the K/V once per token lifetime and keeps
+ *    them on the token record (not counted as resident bytes): after
+ *    the one-time fault draw on x, the recompute's inputs never change.
  *  - Values are stored as 16-bit fixed-point words with one scale per
  *    stored vector ("activations and KV vectors are maintained in 16
  *    bits", Section 5). Fixed point makes bit-significance linear: an
@@ -66,7 +71,9 @@ class ManagedKvCache
     /**
      * Recompute callback: given the (fault-injected) layer input x and
      * the token's absolute position, produce the full k and v vectors
-     * (length dKv = kvHeads * headDim each, RoPE applied to k).
+     * (length dKv = kvHeads * headDim each, RoPE applied to k). It must
+     * be a pure function of (layer, x, pos): its result is reused for
+     * the token's lifetime.
      */
     using Recomputer = std::function<void(
         std::size_t layer, std::span<const float> x, std::int64_t pos,
@@ -78,7 +85,8 @@ class ManagedKvCache
 
     /** Attach a fault injector (non-owning; nullptr = fault free). */
     void setFaultInjector(FaultInjector *injector);
-    /** Attach the recompute callback (required if cfg.recompute). */
+    /** Attach the recompute callback (required if cfg.recompute);
+     *  drops every K/V computed by the previous one. */
     void setRecomputer(Recomputer fn);
 
     /**
@@ -118,9 +126,6 @@ class ManagedKvCache
     /** Importance score of a slot (tests / evictor cross-check). */
     float importanceOf(std::size_t layer, std::size_t kv_head,
                        std::uint32_t slot) const;
-    /** Token position held in a slot. */
-    std::int64_t positionOf(std::size_t layer, std::size_t kv_head,
-                            std::uint32_t slot) const;
     /** True if the token in this slot is stored as an input vector. */
     bool isInputStored(std::size_t layer, std::size_t kv_head,
                        std::uint32_t slot) const;
@@ -144,6 +149,10 @@ class ManagedKvCache
         bool xCorrupted = false;    ///< one-time fault draw done
         std::vector<std::uint16_t> xBits; ///< layer input, int16 codes
         float xScale = 1.0f;        ///< fixed-point scale of xBits
+        /** Host copy of the fp16 K/V recomputed from x: [k | v]. */
+        std::vector<float> recomputedKv;
+        /** Decode step (layer lastPos) last counted as a recompute. */
+        std::int64_t recomputedAt = std::numeric_limits<std::int64_t>::min();
     };
 
     struct Entry
@@ -166,11 +175,6 @@ class ManagedKvCache
         std::vector<TokenRec> tokens;
         std::vector<std::vector<Entry>> heads; ///< [kvHead][slot]
         std::int64_t lastPos = -1;
-        /** Per-step recompute memo: tokenId -> (kFull, vFull);
-         *  cleared at every append (one x readout per step). */
-        std::vector<std::int32_t> memoIds;
-        std::vector<std::vector<float>> memoK;
-        std::vector<std::vector<float>> memoV;
     };
 
     /** Apply the configured precision to a full k or v vector. */
@@ -192,10 +196,11 @@ class ManagedKvCache
     /** Move tokens whose probation window ended to their final format. */
     void resolveProbation(LayerState &ls, std::int64_t now);
 
-    /** Recompute (and memoize for this step) an x-stored token. */
-    void recomputeToken(LayerState &ls, std::size_t layer,
-                        std::int32_t token_id, std::vector<float> &k_out,
-                        std::vector<float> &v_out);
+    /** Count this step's recompute of an x-stored token and return
+     *  its K/V, [k | v], computing them on first use. */
+    std::span<const float> recomputeToken(const LayerState &ls,
+                                          std::size_t layer,
+                                          TokenRec &tok);
 
     bool protectsSink() const
     {
@@ -222,8 +227,6 @@ class ManagedKvCache
     Recomputer recomputer_;
     stats::Group stats_{"kv_cache"};
 };
-
-/** Build a cache from a baseline preset (see kv_config.hpp). */
 
 } // namespace kv
 } // namespace kelle

@@ -76,14 +76,6 @@ ModelConfig::macsPerDecodeToken(std::size_t context_len) const
 }
 
 double
-ModelConfig::macsPerDecodeTokenPerLayer(std::size_t context_len) const
-{
-    return (macsPerDecodeToken(context_len) -
-            static_cast<double>(vocab) * static_cast<double>(dModel)) /
-           static_cast<double>(layers);
-}
-
-double
 ModelConfig::macsPrefillAttention(std::size_t context_len) const
 {
     const double n = static_cast<double>(context_len);

@@ -63,8 +63,6 @@ struct ModelConfig
      * + FFN across all layers, plus the output head.
      */
     double macsPerDecodeToken(std::size_t context_len) const;
-    /** Per-layer decode MACs (output head excluded). */
-    double macsPerDecodeTokenPerLayer(std::size_t context_len) const;
     /** MAC operations to prefill a context of the given length. */
     double macsPrefill(std::size_t context_len) const;
     /** The attention-product share of prefill MACs (DynaX sparsity). */

@@ -45,6 +45,9 @@ hashUnit(std::uint64_t a, std::uint64_t b)
 DeviceConfig
 normalizedConfig(DeviceConfig cfg)
 {
+    const std::string err = cfg.paged.validate();
+    if (!err.empty())
+        KELLE_FATAL("invalid paged KV config: ", err);
     if (cfg.paged.enabled && cfg.paged.quantBits > 0)
         cfg.system.kv.kvBits = cfg.paged.quantBits;
     return cfg;
@@ -70,8 +73,7 @@ makeAllocatorConfig(const DeviceConfig &cfg)
     a.capacityBytes = static_cast<double>(pool) * a.bytesPerToken;
     a.highWatermark = cfg.highWatermark;
     if (cfg.paged.enabled) {
-        a.pagedBlockTokens =
-            std::max<std::size_t>(1, cfg.paged.blockTokens);
+        a.pagedBlockTokens = cfg.paged.blockTokens;
         // One page holds blockTokens x (K+V across all layers) values
         // at the system's KV precision, with per-group scale/zero
         // metadata when quantized — the QuantizedGroups layout.
@@ -89,6 +91,19 @@ makeAllocatorConfig(const DeviceConfig &cfg)
 }
 
 } // namespace
+
+std::string
+PagedKvConfig::validate() const
+{
+    std::string err;
+    if (enabled && blockTokens == 0)
+        err = "blockTokens must be positive";
+    if (enabled && quantBits != 0 && quantBits != 4 && quantBits != 8)
+        err += std::string(err.empty() ? "" : "; ") +
+               "quantBits must be 0 (system default), 4 or 8, got " +
+               std::to_string(quantBits);
+    return err;
+}
 
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
                            sim::EventQueue &queue,

@@ -106,6 +106,10 @@ struct PagedKvConfig
      */
     int quantBits = 0;
     bool sharePrefixes = true;
+
+    /** Empty when usable (always when disabled): blockTokens > 0 and
+     *  quantBits in {0, 4, 8}. Otherwise the error message. */
+    std::string validate() const;
 };
 
 /** Everything per-accelerator about a serving engine. */

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <string>
 
 namespace {
@@ -450,14 +451,13 @@ TEST(PaperDigest, RefreshTuningExample)
 // Bad flags end the program with a usage error that names the flag,
 // never with a hang or a silently reinterpreted value.
 
-/** Run bench_cluster with `flags`; expect a non-zero exit whose
- *  output contains `needle`. */
+/** Run `binary` with `flags`; expect a non-zero exit whose output
+ *  contains every needle. */
 void
-expectClusterFlagRejected(const std::string &flags,
-                          const std::string &needle)
+expectFlagRejected(const std::string &binary, const std::string &flags,
+                   std::initializer_list<std::string> needles)
 {
-    const std::string path = std::string(KELLE_BIN_DIR) +
-                             "/bench/bench_cluster";
+    const std::string path = std::string(KELLE_BIN_DIR) + "/" + binary;
     if (!fileExists(path))
         GTEST_SKIP() << path << " not built";
     int exit_code = 0;
@@ -465,22 +465,54 @@ expectClusterFlagRejected(const std::string &flags,
     const std::string out =
         capture("timeout 10 " + path + " " + flags, &exit_code);
     EXPECT_NE(exit_code, 0) << flags << ":\n" << out;
-    EXPECT_NE(out.find(needle), std::string::npos)
-        << flags << ":\n" << out;
+    for (const std::string &needle : needles) {
+        EXPECT_NE(out.find(needle), std::string::npos)
+            << flags << ":\n" << out;
+    }
 }
 
 TEST(BenchCli, ClusterRejectsOutOfRangeRetries)
 {
     // -1 must not wrap to a 4-billion retry budget, which spins for
     // hours on a fault run.
-    expectClusterFlagRejected("--faults --retries -1", "--retries");
-    expectClusterFlagRejected("--faults --retries 4294967296",
-                              "--retries");
+    expectFlagRejected("bench/bench_cluster", "--faults --retries -1",
+                       {"--retries"});
+    expectFlagRejected("bench/bench_cluster",
+                       "--faults --retries 4294967296", {"--retries"});
+}
+
+TEST(BenchCli, ServingRejectsZeroBlockTokens)
+{
+    // A zero page size must not run as "block 0 tokens".
+    expectFlagRejected("bench/bench_serving",
+                       "--paged --block-tokens 0 --sweep 0",
+                       {"--block-tokens", "blockTokens must be positive"});
+}
+
+TEST(BenchCli, ServingRejectsUnsupportedKvQuant)
+{
+    // Only 8- and 4-bit pages exist: no "INT3 pages" run.
+    for (const char *bits : {"3", "16", "-4"}) {
+        expectFlagRejected("bench/bench_serving",
+                           std::string("--paged --sweep 0 --kv-quant ") +
+                               bits,
+                           {"--kv-quant", "quantBits must be"});
+    }
+}
+
+TEST(BenchCli, Sec84RejectsZeroBlockTokens)
+{
+    // A zero page size must not print "0-token pages" and a -nan
+    // multiplier.
+    expectFlagRejected("bench/bench_sec84_longcontext",
+                       "--paged --block-tokens 0",
+                       {"--block-tokens must be positive"});
 }
 
 TEST(BenchCli, ClusterRejectsRemovedThreadsFlag)
 {
-    expectClusterFlagRejected("--threads 4", "unknown flag --threads");
+    expectFlagRejected("bench/bench_cluster", "--threads 4",
+                       {"unknown flag --threads"});
 }
 
 } // namespace

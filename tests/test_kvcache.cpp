@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -488,6 +490,139 @@ TEST(ManagedKv, FaultInjectorAppliedOncePerEntry)
         EXPECT_FLOAT_EQ(g1.k.at(0, d), g2.k.at(0, d));
     // Top bit of the int16 code is the sign: value flipped.
     EXPECT_LT(g1.k.at(0, 0), 0.0f);
+}
+
+/** Counts the one-time fault draws on stored x vectors (dModel words;
+ *  per-head K/V draws are headDim words). */
+class CountXDraws final : public FaultInjector
+{
+  public:
+    void
+    corrupt(std::span<std::uint16_t> words, const FaultContext &) override
+    {
+        if (words.size() == kDModel)
+            ++xDraws;
+    }
+    int xDraws = 0;
+};
+
+/** Pure recomputer k = scale * x, v = x + 1 that counts its calls per
+ *  token position. */
+ManagedKvCache::Recomputer
+countingRecomputer(float scale, std::map<std::int64_t, int> &calls)
+{
+    return [scale, &calls](std::size_t, std::span<const float> x,
+                           std::int64_t pos, std::span<float> k_out,
+                           std::span<float> v_out) {
+        ++calls[pos];
+        for (std::size_t i = 0; i < k_out.size(); ++i) {
+            k_out[i] = scale * x[i % x.size()];
+            v_out[i] = x[i % x.size()] + 1.0f;
+        }
+    };
+}
+
+/** Gather every head of layer 0; check x-stored entries against
+ *  k = scale * x, v = x + 1 (x = position - 0.25, see appendConst)
+ *  and return the positions of the x-stored tokens read. */
+std::set<std::int64_t>
+gatherAllChecked(ManagedKvCache &cache, float scale)
+{
+    std::set<std::int64_t> x_stored;
+    for (std::size_t h = 0; h < kHeads; ++h) {
+        auto g = cache.gather(0, h);
+        for (std::size_t i = 0; i < g.slots.size(); ++i) {
+            if (!cache.isInputStored(0, h, g.slots[i]))
+                continue;
+            x_stored.insert(g.positions[i]);
+            const float x = static_cast<float>(g.positions[i]) - 0.25f;
+            for (std::size_t d = 0; d < kHeadDim; ++d) {
+                EXPECT_NEAR(g.k.at(i, d), scale * x, 5e-2);
+                EXPECT_NEAR(g.v.at(i, d), x + 1.0f, 5e-2);
+            }
+        }
+    }
+    return x_stored;
+}
+
+/** theta = 0: every probation graduate is x-stored; the budget never
+ *  evicts over 24 tokens. */
+KvCacheConfig
+allPopularAerp()
+{
+    auto cfg = makeAerpConfig(64, 1, 2);
+    cfg.popularityTheta = 0.0;
+    return cfg;
+}
+
+TEST(ManagedKv, XStoredKvComputedOncePerLifetime)
+{
+    ManagedKvCache cache(allPopularAerp(), 1, kHeads, kHeadDim, kDModel);
+    CountXDraws inj;
+    cache.setFaultInjector(&inj);
+    std::map<std::int64_t, int> calls;
+    cache.setRecomputer(countingRecomputer(2.0f, calls));
+
+    double want_recomputes = 0.0;
+    for (std::int64_t p = 0; p < 24; ++p) {
+        appendConst(cache, 0, p, static_cast<float>(p));
+        // Two full reads per step: the modelled hardware recomputes
+        // once per (token, step), however many heads read the token.
+        const auto first = gatherAllChecked(cache, 2.0f);
+        EXPECT_EQ(gatherAllChecked(cache, 2.0f), first);
+        want_recomputes += static_cast<double>(first.size());
+    }
+
+    const double x_tokens = cache.statistics().get("x_stored_tokens");
+    EXPECT_EQ(x_tokens, 21.0); // positions 0..20 left probation
+    EXPECT_EQ(static_cast<double>(calls.size()), x_tokens);
+    for (const auto &[pos, n] : calls)
+        EXPECT_EQ(n, 1) << "token " << pos << " recomputed " << n << "x";
+    EXPECT_EQ(static_cast<double>(inj.xDraws), x_tokens);
+    EXPECT_EQ(cache.statistics().get("recomputes"), want_recomputes);
+    EXPECT_GT(want_recomputes, 10.0 * x_tokens);
+}
+
+TEST(ManagedKv, SetRecomputerDropsComputedKv)
+{
+    ManagedKvCache cache(allPopularAerp(), 1, kHeads, kHeadDim, kDModel);
+    CountXDraws inj;
+    cache.setFaultInjector(&inj);
+    std::map<std::int64_t, int> old_calls, new_calls;
+    cache.setRecomputer(countingRecomputer(2.0f, old_calls));
+    for (std::int64_t p = 0; p < 12; ++p) {
+        appendConst(cache, 0, p, static_cast<float>(p));
+        gatherAllChecked(cache, 2.0f);
+    }
+    const int draws = inj.xDraws;
+    const double recomputes = cache.statistics().get("recomputes");
+
+    cache.setRecomputer(countingRecomputer(3.0f, new_calls));
+    const auto x_stored = gatherAllChecked(cache, 3.0f);
+    EXPECT_EQ(new_calls.size(), x_stored.size());
+    for (const auto &[pos, n] : new_calls)
+        EXPECT_EQ(n, 1) << "token " << pos;
+    // Same step, same x bits: no new fault draw, no new modelled
+    // recompute.
+    EXPECT_EQ(inj.xDraws, draws);
+    EXPECT_EQ(cache.statistics().get("recomputes"), recomputes);
+}
+
+TEST(ManagedKv, ResidentBytesExcludeHostKv)
+{
+    ManagedKvCache read(allPopularAerp(), 1, kHeads, kHeadDim, kDModel);
+    ManagedKvCache unread(allPopularAerp(), 1, kHeads, kHeadDim, kDModel);
+    std::map<std::int64_t, int> calls;
+    read.setRecomputer(countingRecomputer(2.0f, calls));
+    for (std::int64_t p = 0; p < 12; ++p) {
+        appendConst(read, 0, p, static_cast<float>(p));
+        appendConst(unread, 0, p, static_cast<float>(p));
+        gatherAllChecked(read, 2.0f);
+        EXPECT_EQ(read.residentKvBytes(), unread.residentKvBytes());
+        EXPECT_EQ(read.residentActivationBytes(),
+                  unread.residentActivationBytes());
+    }
+    EXPECT_FALSE(calls.empty());
 }
 
 TEST(ManagedKv, AppendPositionsMustIncrease)

@@ -366,6 +366,33 @@ TEST(PagedServing, QuantizedPagesMultiplyDerivedTokenCapacity)
     EXPECT_GT(static_cast<double>(p4), 2.6 * static_cast<double>(p16));
 }
 
+TEST(PagedServing, InvalidPageConfigIsAFatalConfigError)
+{
+    serving::PagedKvConfig paged;
+    EXPECT_EQ(paged.validate(), "");
+    paged.blockTokens = 0;
+    paged.quantBits = 3;
+    EXPECT_EQ(paged.validate(), "") << "a disabled pool ignores its fields";
+    paged.enabled = true;
+    EXPECT_NE(paged.validate().find("blockTokens"), std::string::npos);
+    EXPECT_NE(paged.validate().find("quantBits"), std::string::npos);
+    for (int bits : {0, 4, 8}) {
+        paged.blockTokens = 16;
+        paged.quantBits = bits;
+        EXPECT_EQ(paged.validate(), "") << bits;
+    }
+
+    serving::ServingConfig cfg = tinyServingConfig();
+    cfg.paged.enabled = true;
+    cfg.paged.blockTokens = 0;
+    EXPECT_EXIT(serving::Scheduler{cfg}, ::testing::ExitedWithCode(1),
+                "invalid paged KV config: blockTokens must be positive");
+    cfg.paged.blockTokens = 16;
+    cfg.paged.quantBits = 3;
+    EXPECT_EXIT(serving::Scheduler{cfg}, ::testing::ExitedWithCode(1),
+                "quantBits must be 0 \\(system default\\), 4 or 8, got 3");
+}
+
 TEST(PagedServing, SessionsKnobKeepsArrivalStreamByteIdentical)
 {
     serving::TrafficConfig traffic;
