@@ -258,6 +258,13 @@ main(int argc, char **argv)
         makeFleet(n_devices, args.getBool("hetero"), pool, sram_pool,
                   max_batch, base.engine.model);
     base.devices = headline_fleet.devices;
+    bench::exitIfInvalid(base.validate(),
+                         {{"devices", "--devices"},
+                          {"ratePerSec", "--rate"},
+                          {"numRequests", "--requests"},
+                          {"maxBatch", "--maxbatch"},
+                          {"mtbfSec", "--mtbf"},
+                          {"mttrSec", "--mttr"}});
 
     bench::banner(
         "Cluster: " + std::to_string(base.engine.traffic.numRequests) +

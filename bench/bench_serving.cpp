@@ -64,14 +64,16 @@ baseConfig(const common::ArgParser &args)
         cfg.paged.enabled = true;
         cfg.paged.blockTokens = args.getSize("block-tokens");
         cfg.paged.quantBits = args.getInt("kv-quant");
-        const std::string err = cfg.paged.validate();
-        if (!err.empty()) {
-            std::fprintf(stderr,
-                         "invalid --block-tokens / --kv-quant: %s\n",
-                         err.c_str());
-            std::exit(1);
-        }
     }
+    bench::exitIfInvalid(cfg.validate(),
+                         {{"ratePerSec", "--rate"},
+                          {"numRequests", "--requests"},
+                          {"maxBatch", "--maxbatch"},
+                          {"clientRetryBackoffSec",
+                           "--client-retry-backoff"},
+                          {"sessionPrefixFrac", "--prefix-frac"},
+                          {"blockTokens", "--block-tokens"},
+                          {"quantBits", "--kv-quant"}});
     return cfg;
 }
 

@@ -5,8 +5,9 @@
  * heterogeneous eDRAM/SRAM knee sweep of bench_cluster (same fleet,
  * same trace generator, every dispatch policy) under wall-clock
  * instrumentation and reports simulated-requests/sec,
- * engine-steps/sec, the step-cost-cache hit rate and the share of
- * decode boundaries the engine fast-forwarded, plus peak RSS.
+ * engine-steps/sec, the prefill-chunk cost-memo hit rate and the
+ * share of decode boundaries the engine fast-forwarded, plus peak
+ * RSS.
  *
  * Emits `BENCH_simspeed.json` (schema v4 in bench/README.md) so the
  * repo's performance trajectory is tracked. The CI gate is
@@ -339,7 +340,7 @@ main(int argc, char **argv)
     bench::note(
         "aggregate: " + Table::num(fast.requestsPerSec(), 0) +
         " simulated requests/s, " + Table::num(fast.stepsPerSec(), 0) +
-        " engine steps/s, cost-cache hit " +
+        " engine steps/s, prefill-chunk memo hit " +
         Table::pct(fast.cache.hitRate()) + ", fast-forwarded " +
         Table::pct(fast.fastForwardShare()) + " of boundaries");
 

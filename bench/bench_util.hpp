@@ -7,7 +7,10 @@
 #define KELLE_BENCH_BENCH_UTIL_HPP
 
 #include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.hpp"
@@ -21,6 +24,29 @@ inline void
 banner(const std::string &title)
 {
     std::printf("\n=== %s ===\n\n", title.c_str());
+}
+
+/**
+ * Exit 1 when `err`, a config `validate()` message, is non-empty. The
+ * message names config fields; `flags` maps each field to the flag
+ * that sets it, so the error names the flags to fix.
+ */
+inline void
+exitIfInvalid(
+    const std::string &err,
+    std::initializer_list<std::pair<const char *, const char *>> flags)
+{
+    if (err.empty())
+        return;
+    std::string named;
+    for (const auto &[field, flag] : flags) {
+        if (err.find(field) != std::string::npos)
+            named += (named.empty() ? "" : ", ") + std::string(flag);
+    }
+    std::fprintf(stderr, "invalid %s: %s\n",
+                 named.empty() ? "configuration" : named.c_str(),
+                 err.c_str());
+    std::exit(1);
 }
 
 /** Print a paper-vs-measured note line. */

@@ -1,7 +1,5 @@
 #include "accel/step_cost_cache.hpp"
 
-#include <algorithm>
-
 namespace kelle {
 namespace accel {
 
@@ -10,45 +8,6 @@ StepCostCache::StepCostCache(const SystemConfig &sys,
                              std::size_t max_entries)
     : sys_(sys), model_(m), maxEntries_(max_entries)
 {
-}
-
-const StepReport &
-StepCostCache::batchedDecodeStep(
-    const std::vector<std::size_t> &resident_tokens)
-{
-    std::size_t n_sum = 0;
-    for (std::size_t n : resident_tokens)
-        n_sum += n;
-    const std::pair<std::size_t, std::size_t> key{
-        resident_tokens.size(), n_sum};
-    const auto it = decode_.find(key);
-    if (it != decode_.end()) {
-        ++stats_.hits;
-        return it->second;
-    }
-    if (decode_.size() >= maxEntries_) {
-        ++stats_.bypasses;
-        overflow_ =
-            simulateBatchedDecodeStep(sys_, model_, resident_tokens);
-        return overflow_;
-    }
-    ++stats_.misses;
-    // Computed from the caller's member distribution; any batch with
-    // the same (B, N) key produces these exact doubles (see the
-    // header note on the exact affine summation).
-    const StepReport rep =
-        simulateBatchedDecodeStep(sys_, model_, resident_tokens);
-    return decode_.emplace(key, rep).first->second;
-}
-
-const StepReport *
-StepCostCache::findBatchedDecode(std::size_t batch, std::size_t n_sum)
-{
-    const auto it = decode_.find({batch, n_sum});
-    if (it == decode_.end())
-        return nullptr;
-    ++stats_.hits;
-    return &it->second;
 }
 
 const StepReport &

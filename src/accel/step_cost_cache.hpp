@@ -1,38 +1,15 @@
 /**
  * @file
- * Memoized engine-step costing for the serving/cluster hot loop.
+ * Memoized prefill-chunk costing for the serving/cluster hot loop.
  *
- * `simulateBatchedDecodeStep` and `simulatePrefillChunk` are pure
- * functions of (SystemConfig, ModelConfig, step shape): a decode
- * step's cost depends only on the resident-length multiset of the
- * batch, a prefill chunk's only on its (KV offset, chunk length)
- * pair. The serving engine re-derives these costs from scratch at
- * every step boundary even though step shapes repeat for long
- * stretches. `StepCostCache` binds one (system, model) pair at
- * construction and memoizes the resulting `StepReport`s, so a
- * repeated shape costs one hash lookup instead of a full
- * analytic-model evaluation.
- *
- * Decode key: the resident multiset collapses further. Every
- * per-member accumuland in `batchedDecodeCosts` — MACs, working-set
- * bytes, SFU ops, resident tokens — is an integer-valued double far
- * below 2^53 for any realistic model, so the member-order summation
- * is *exact*, and each sum is an affine function of (batch size B,
- * total resident tokens N) with exact integer coefficients:
- *
- *     sum_i macsPerDecodeToken(n_i) = B*(proj+ffn+head) + 2*d*L*N
- *     sum_i ws(n_i)                 = 2*nHeads*N + 6*d*B
- *     sum_i sfu(n_i)                = L*(2*nHeads*N + (4d+dFfn)*B)
- *
- * Everything downstream of the summation loop reads only those sums,
- * so two batches with equal (B, N) produce bitwise-identical
- * `StepReport`s however their members are distributed — the cache
- * keys on that pair. This is what makes hit rates high in serving:
- * growing batch members permute and trade tokens, but (B, N) walks a
- * small lattice. The `StepCostCache.*` property tests enforce the
- * invariant (cached vs uncached, shuffled members, redistributed
- * multisets with equal sums), and the golden-digest tier-1 test
- * pins the end-to-end outputs.
+ * `simulatePrefillChunk` is a pure function of (SystemConfig,
+ * ModelConfig, KV offset, chunk length). Chunked prefill re-costs the
+ * same (offset, length) pairs for every prompt that shares a chunk
+ * size, so `StepCostCache` binds one (system, model) pair at
+ * construction and memoizes the resulting `StepReport`s: a repeated
+ * chunk shape costs one hash lookup instead of an analytic-model
+ * evaluation. Decode steps need no memo: simulateBatchedDecodeStep
+ * costs a batch in O(1) from (batch size, total resident tokens).
  *
  * The cache never evicts: shapes seen past `maxEntries` are computed
  * uncached (counted as `bypasses`) so memory stays bounded without
@@ -46,7 +23,6 @@
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "accel/timing_model.hpp"
 
@@ -95,38 +71,19 @@ class StepCostCache
                   std::size_t max_entries = kDefaultMaxEntries);
 
     /**
-     * Memoized simulateBatchedDecodeStep. The reference stays valid
-     * until the next bypassing (cache-full) call; callers that hold
-     * it across steps should copy.
+     * Memoized simulatePrefillChunk. The reference stays valid until
+     * the next bypassing (cache-full) call; callers that hold it
+     * across steps should copy.
      */
-    const StepReport &
-    batchedDecodeStep(const std::vector<std::size_t> &resident_tokens);
-
-    /** Memoized simulatePrefillChunk. */
     const StepReport &prefillChunk(std::size_t kv_offset,
                                    std::size_t chunk_len);
 
-    /**
-     * Probe the decode cache by its (batch size, total resident
-     * tokens) key directly — the serving fast-forward tracks the key
-     * incrementally and skips building the member vector on a hit
-     * (counted); on a miss this returns null and counts nothing, so
-     * the caller builds the vector and calls batchedDecodeStep, which
-     * accounts the miss.
-     */
-    const StepReport *findBatchedDecode(std::size_t batch,
-                                        std::size_t n_sum);
-
     const Stats &stats() const { return stats_; }
-    std::size_t
-    entries() const
-    {
-        return decode_.size() + chunk_.size();
-    }
+    std::size_t entries() const { return chunk_.size(); }
 
     /** Shapes memoized before new ones bypass the cache (~150 B per
-     *  entry; the decode lattice (B <= maxBatch, N <= B*budget) stays
-     *  far below this for any realistic serving run). */
+     *  entry; chunked prefill walks (offset, length) pairs of a few
+     *  chunk sizes, far below this for any realistic serving run). */
     static constexpr std::size_t kDefaultMaxEntries = 1u << 18;
 
   private:
@@ -147,10 +104,6 @@ class StepCostCache
     const model::ModelConfig &model_;
     std::size_t maxEntries_;
     Stats stats_;
-    /** (batch size, total resident tokens) -> step report. */
-    std::unordered_map<std::pair<std::size_t, std::size_t>, StepReport,
-                       PairHash>
-        decode_;
     /** (KV offset, chunk length) -> step report. */
     std::unordered_map<std::pair<std::size_t, std::size_t>, StepReport,
                        PairHash>

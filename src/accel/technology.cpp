@@ -53,17 +53,6 @@ originalSramTech()
 }
 
 TechnologyConfig
-kelleSramTech()
-{
-    TechnologyConfig t = kelleTech();
-    t.kvMemory = mem::sram(Bytes::mib(4), Bandwidth::gibPerSec(128));
-    t.kvIsEdram = false;
-    t.actBuffer = mem::sram(Bytes::kib(256), Bandwidth::gibPerSec(128));
-    t.actIsEdram = false;
-    return t;
-}
-
-TechnologyConfig
 sramSystemTech(Bytes sram_capacity, std::size_t rsa_dim)
 {
     TechnologyConfig t;

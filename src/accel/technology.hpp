@@ -120,9 +120,6 @@ TechnologyConfig kelleTech();
  */
 TechnologyConfig originalSramTech();
 
-/** Kelle accelerator with SRAM in place of eDRAM (AEP/AERP+SRAM). */
-TechnologyConfig kelleSramTech();
-
 /** A 4 MB- or 8 MB-SRAM variant used by the Figure 3 motivation. */
 TechnologyConfig sramSystemTech(Bytes sram_capacity,
                                 std::size_t rsa_dim = 32);

@@ -236,34 +236,34 @@ decodeStepCosts(const SystemConfig &sys, const Workload &w, std::size_t t)
  * terms telescope — summed over a prompt's chunks they equal the
  * whole-prompt prefill — while the weight stream is charged in full
  * per chunk. `offset == 0`, `chunk == ctxLen` is the monolithic
- * prefill.
+ * prefill of a `batch`-wide workload.
  */
 StepCosts
-prefillChunkCosts(const SystemConfig &sys, const Workload &w,
-                  std::size_t offset, std::size_t chunk)
+prefillChunkCosts(const SystemConfig &sys, const model::ModelConfig &m,
+                  std::size_t batch, std::size_t offset, std::size_t chunk)
 {
     const auto &tech = sys.tech;
-    const double B = static_cast<double>(w.batch);
-    const double L = static_cast<double>(w.model.layers);
+    const double B = static_cast<double>(batch);
+    const double L = static_cast<double>(m.layers);
     const double n_new = static_cast<double>(chunk);
     const double n_ctx = static_cast<double>(offset + chunk);
     const double n_old = static_cast<double>(offset);
     StepCosts c;
     // Causal attention telescopes: this chunk's MACs are the
     // whole-prefix cost minus the already-prefilled prefix's cost.
-    double macs = B * (w.model.macsPrefill(offset + chunk) -
-                       w.model.macsPrefill(offset));
+    double macs = B * (m.macsPrefill(offset + chunk) -
+                       m.macsPrefill(offset));
     if (sys.prefillAttnSparsity > 0.0) {
         macs -= sys.prefillAttnSparsity * B *
-                (w.model.macsPrefillAttention(offset + chunk) -
-                 w.model.macsPrefillAttention(offset));
+                (m.macsPrefillAttention(offset + chunk) -
+                 m.macsPrefillAttention(offset));
     }
     c.macs = macs;
 
-    const double w_bytes = w.model.weightBytes(tech.weightBits);
+    const double w_bytes = m.weightBytes(tech.weightBits);
     // Per-layer activation round trips that overflow the buffer.
     const double act_layer = B * n_new *
-                             static_cast<double>(w.model.dModel) * 2.0;
+                             static_cast<double>(m.dModel) * 2.0;
     double act_spill = 0.0;
     if (act_layer > tech.actBuffer.capacity().b())
         act_spill = 2.0 * act_layer * L;
@@ -272,24 +272,24 @@ prefillChunkCosts(const SystemConfig &sys, const Workload &w,
     // per block, so prefill attention traffic scales inversely with
     // capacity (and a chunk at a deep offset re-reads a long prefix).
     const double row_bytes =
-        4.0 * static_cast<double>(w.model.dModel) * 2.0;
+        4.0 * static_cast<double>(m.dModel) * 2.0;
     const double block_rows = std::max(
         1.0, 0.5 * tech.kvMemory.capacity().b() / row_bytes);
     const double kv_layer_bytes =
-        n_ctx * static_cast<double>(w.model.dKv()) * 2.0 * 2.0;
+        n_ctx * static_cast<double>(m.dKv()) * 2.0 * 2.0;
     const double attn_reread =
         B * L * std::ceil(n_new / block_rows) * kv_layer_bytes;
     const double kv_written =
-        B * n_new * w.model.kvBytesPerToken(sys.kv.kvBits);
+        B * n_new * m.kvBytesPerToken(sys.kv.kvBits);
     c.dramBytes = w_bytes + act_spill + attn_reread + kv_written;
     c.onChipKvBytes = 2.0 * (kv_written + attn_reread);
     // Softmax rows telescope like the MACs (n_ctx^2 - n_old^2); the
     // norm/activation ops are linear in the chunk's tokens.
     c.sfuOps = B * L *
-               (static_cast<double>(w.model.nHeads) *
+               (static_cast<double>(m.nHeads) *
                     (n_ctx * n_ctx - n_old * n_old) +
-                (4.0 * static_cast<double>(w.model.dModel) +
-                 static_cast<double>(w.model.dFfn)) *
+                (4.0 * static_cast<double>(m.dModel) +
+                 static_cast<double>(m.dFfn)) *
                     n_new);
 
     c.phases.dram =
@@ -308,24 +308,18 @@ prefillChunkCosts(const SystemConfig &sys, const Workload &w,
     return c;
 }
 
-/** Full prefill resource costs (batch-wide, all layers). */
-StepCosts
-prefillCosts(const SystemConfig &sys, const Workload &w)
-{
-    return prefillChunkCosts(sys, w, 0, w.ctxLen);
-}
-
 /** Accumulate the energy of one phase given its latency and costs. */
 EnergyBreakdown
 phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
-            Time t_sram_layer, Time t_kv_layer, const Workload &w)
+            Time t_sram_layer, Time t_kv_layer,
+            const model::ModelConfig &m, std::size_t batch)
 {
     const auto &tech = sys.tech;
     EnergyBreakdown e;
     e.rsa = tech.rsa.macEnergy * c.macs;
     e.sfu = tech.sfu.opEnergy * c.sfuOps;
     // Weights pass through the staging SRAM: one write + one read.
-    const double w_step = w.model.weightBytes(tech.weightBits);
+    const double w_step = m.weightBytes(tech.weightBits);
     e.weightSram =
         tech.weightSram.accessEnergy() * Bytes(2.0 * w_step);
     e.kvMem = tech.kvMemory.accessEnergy() * Bytes(c.onChipKvBytes);
@@ -343,9 +337,9 @@ phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
             const Time lifetime = transientLifetime(
                 sys.scheduler, t_sram_layer, t_kv_layer);
             const double act_bytes =
-                static_cast<double>(w.batch) * 4.0 *
-                static_cast<double>(w.model.dModel) * 2.0 *
-                static_cast<double>(w.model.layers);
+                static_cast<double>(batch) * 4.0 *
+                static_cast<double>(m.dModel) * 2.0 *
+                static_cast<double>(m.layers);
             const double refreshes_per_byte =
                 lifetime.sec() / interval.sec();
             e.refresh += Energy::joules(
@@ -364,70 +358,42 @@ phaseEnergy(const SystemConfig &sys, const StepCosts &c, Time latency,
     return e;
 }
 
+/** Exact batch sums of the per-member decode accumulands (see
+ *  simulateBatchedDecodeStep). */
+struct DecodeSums
+{
+    double residentTokens = 0.0;
+    double macs = 0.0;
+    double workingSetBytes = 0.0;
+    double sfuOps = 0.0;
+};
+
 /**
  * Per-step resource costs of one decode iteration over a heterogeneous
- * continuous batch. Mirrors decodeStepCosts, but sums per-sequence
- * terms so member sequences may sit at different positions with
- * different AERP budgets; the weight stream is charged once for the
+ * continuous batch of `batch` members, from the batch sums of the
+ * per-member terms (members may sit at different positions with
+ * different AERP budgets); the weight stream is charged once for the
  * whole batch.
- *
- * The per-member summation telescopes runs of equal resident counts
- * into `count * term` closed forms (`loop_form = false`, the
- * default): every accumuland — MACs, working-set bytes, SFU ops,
- * resident tokens — is an integer-valued double far below 2^53 for
- * realistic models, so both the member-by-member sum and the grouped
- * product are exact and bitwise equal. Decode batches clamp at their
- * AERP budgets, so at steady state the whole batch collapses into one
- * multiplied term. `loop_form = true` keeps the original
- * member-at-a-time loop; the TimingTelescoping tests assert the two
- * agree bit-for-bit across randomized batches and configs.
  */
 StepCosts
 batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
-                   const std::vector<std::size_t> &resident,
-                   bool loop_form = false)
+                   std::size_t batch, const DecodeSums &sums)
 {
     const auto &tech = sys.tech;
     const double L = static_cast<double>(m.layers);
     const double d = static_cast<double>(m.dModel);
     const double dkv = static_cast<double>(m.dKv());
-    const double B = static_cast<double>(resident.size());
+    const double B = static_cast<double>(batch);
 
     const double kv_tok = m.kvBytesPerTokenPerLayer(sys.kv.kvBits);
     const double x_tok = d * 2.0; // 16-bit activations
     const double w_step = m.weightBytes(tech.weightBits);
 
     StepCosts c;
-    double n_sum = 0.0;
-    double ws = 0.0;
-    if (loop_form) {
-        for (std::size_t n : resident) {
-            const double nd = static_cast<double>(n);
-            n_sum += nd;
-            c.macs += m.macsPerDecodeToken(n);
-            ws += static_cast<double>(m.nHeads) * nd * 2.0 +
-                  3.0 * d * 2.0;
-            c.sfuOps += L * (2.0 * static_cast<double>(m.nHeads) * nd +
-                             4.0 * d + static_cast<double>(m.dFfn));
-        }
-    } else {
-        for (std::size_t i = 0; i < resident.size();) {
-            const std::size_t n = resident[i];
-            std::size_t j = i + 1;
-            while (j < resident.size() && resident[j] == n)
-                ++j;
-            const double cnt = static_cast<double>(j - i);
-            const double nd = static_cast<double>(n);
-            n_sum += cnt * nd;
-            c.macs += cnt * m.macsPerDecodeToken(n);
-            ws += cnt * (static_cast<double>(m.nHeads) * nd * 2.0 +
-                         3.0 * d * 2.0);
-            c.sfuOps +=
-                cnt * (L * (2.0 * static_cast<double>(m.nHeads) * nd +
-                            4.0 * d + static_cast<double>(m.dFfn)));
-            i = j;
-        }
-    }
+    const double n_sum = sums.residentTokens;
+    const double ws = sums.workingSetBytes;
+    c.macs = sums.macs;
+    c.sfuOps = sums.sfuOps;
 
     // AERP recomputation, sized by the same roofline balance as the
     // uniform path but over the aggregate resident population.
@@ -505,10 +471,10 @@ batchedDecodeCosts(const SystemConfig &sys, const model::ModelConfig &m,
  * charges it per decode step and never on prefill.
  */
 StepReport
-finishStep(const SystemConfig &sys, const Workload &w, const StepCosts &c,
-           bool decode_step)
+finishStep(const SystemConfig &sys, const model::ModelConfig &m,
+           std::size_t batch, const StepCosts &c, bool decode_step)
 {
-    const double L = static_cast<double>(w.model.layers);
+    const double L = static_cast<double>(m.layers);
     const bool sw_evict =
         decode_step && sys.kv.evict && !sys.kv.systolicEvictor;
     Time lat = composeStepLatency(sys.scheduler, c.phases);
@@ -517,7 +483,7 @@ finishStep(const SystemConfig &sys, const Workload &w, const StepCosts &c,
 
     EnergyBreakdown e = phaseEnergy(
         sys, c, lat, Time::seconds(c.phases.sramW.sec() / L),
-        Time::seconds(c.phases.kvMem.sec() / L), w);
+        Time::seconds(c.phases.kvMem.sec() / L), m, batch);
     if (sw_evict) {
         const double scale = 1.0 + kSoftwareEvictEnergyOverhead;
         e.rsa *= scale;
@@ -540,13 +506,7 @@ simulatePrefillStep(const SystemConfig &sys, const model::ModelConfig &m,
                     std::size_t ctx_len)
 {
     KELLE_ASSERT(ctx_len > 0, "empty prompt");
-    Workload w;
-    w.name = "prefill";
-    w.model = m;
-    w.ctxLen = ctx_len;
-    w.decLen = 1;
-    w.batch = 1;
-    return finishStep(sys, w, prefillCosts(sys, w), false);
+    return simulatePrefillChunk(sys, m, 0, ctx_len);
 }
 
 StepReport
@@ -554,15 +514,34 @@ simulatePrefillChunk(const SystemConfig &sys, const model::ModelConfig &m,
                      std::size_t kv_offset, std::size_t chunk_len)
 {
     KELLE_ASSERT(chunk_len > 0, "empty prefill chunk");
-    Workload w;
-    w.name = "prefill-chunk";
-    w.model = m;
-    w.ctxLen = kv_offset + chunk_len;
-    w.decLen = 1;
-    w.batch = 1;
-    return finishStep(sys, w,
-                      prefillChunkCosts(sys, w, kv_offset, chunk_len),
+    return finishStep(sys, m, 1,
+                      prefillChunkCosts(sys, m, 1, kv_offset, chunk_len),
                       false);
+}
+
+StepReport
+simulateBatchedDecodeStep(const SystemConfig &sys,
+                          const model::ModelConfig &m, std::size_t batch,
+                          std::size_t n_sum)
+{
+    KELLE_ASSERT(batch > 0, "empty decode batch");
+    const double B = static_cast<double>(batch);
+    const double N = static_cast<double>(n_sum);
+    const double L = static_cast<double>(m.layers);
+    const double d = static_cast<double>(m.dModel);
+    const double heads = static_cast<double>(m.nHeads);
+    // Every per-member term is affine in the member's resident count;
+    // its constant and slope fold into B and N.
+    const double macs0 = m.macsPerDecodeToken(0);
+    DecodeSums sums;
+    sums.residentTokens = N;
+    sums.macs = B * macs0 + (m.macsPerDecodeToken(1) - macs0) * N;
+    sums.workingSetBytes = 2.0 * heads * N + 6.0 * d * B;
+    sums.sfuOps =
+        L * (2.0 * heads * N +
+             (4.0 * d + static_cast<double>(m.dFfn)) * B);
+    return finishStep(sys, m, batch, batchedDecodeCosts(sys, m, batch, sums),
+                      true);
 }
 
 StepReport
@@ -570,15 +549,10 @@ simulateBatchedDecodeStep(const SystemConfig &sys,
                           const model::ModelConfig &m,
                           const std::vector<std::size_t> &resident_tokens)
 {
-    KELLE_ASSERT(!resident_tokens.empty(), "empty decode batch");
-    Workload w;
-    w.name = "decode-step";
-    w.model = m;
-    w.ctxLen = 0;
-    w.decLen = 1;
-    w.batch = resident_tokens.size();
-    return finishStep(sys, w, batchedDecodeCosts(sys, m, resident_tokens),
-                      true);
+    std::size_t n_sum = 0;
+    for (std::size_t n : resident_tokens)
+        n_sum += n;
+    return simulateBatchedDecodeStep(sys, m, resident_tokens.size(), n_sum);
 }
 
 Energy
@@ -627,12 +601,12 @@ simulateImpl(const SystemConfig &sys, const Workload &w,
     // ---- Prefill -------------------------------------------------
     {
         const double L = static_cast<double>(w.model.layers);
-        StepCosts c = prefillCosts(sys, w);
+        StepCosts c = prefillChunkCosts(sys, w.model, w.batch, 0, w.ctxLen);
         rep.prefillLatency = composeStepLatency(sys.scheduler, c.phases);
         rep.prefillEnergy = phaseEnergy(
             sys, c, rep.prefillLatency,
             Time::seconds(c.phases.sramW.sec() / L),
-            Time::seconds(c.phases.kvMem.sec() / L), w);
+            Time::seconds(c.phases.kvMem.sec() / L), w.model, w.batch);
         rep.dramBytesTotal += c.dramBytes;
         rep.macsTotal += c.macs;
     }
@@ -650,7 +624,7 @@ simulateImpl(const SystemConfig &sys, const Workload &w,
         const std::size_t n = residentTokens(sys, w, t);
         if (!memoize_steps || !have_step || n != last_resident) {
             c = decodeStepCosts(sys, w, t);
-            step = finishStep(sys, w, c, true);
+            step = finishStep(sys, w.model, w.batch, c, true);
             have_step = true;
             last_resident = n;
         }
@@ -695,14 +669,21 @@ batchedDecodeStepLoopReference(
     const std::vector<std::size_t> &resident_tokens)
 {
     KELLE_ASSERT(!resident_tokens.empty(), "empty decode batch");
-    Workload w;
-    w.name = "decode-step";
-    w.model = m;
-    w.ctxLen = 0;
-    w.decLen = 1;
-    w.batch = resident_tokens.size();
+    const double L = static_cast<double>(m.layers);
+    const double d = static_cast<double>(m.dModel);
+    DecodeSums sums;
+    for (std::size_t n : resident_tokens) {
+        const double nd = static_cast<double>(n);
+        sums.residentTokens += nd;
+        sums.macs += m.macsPerDecodeToken(n);
+        sums.workingSetBytes +=
+            static_cast<double>(m.nHeads) * nd * 2.0 + 3.0 * d * 2.0;
+        sums.sfuOps += L * (2.0 * static_cast<double>(m.nHeads) * nd +
+                            4.0 * d + static_cast<double>(m.dFfn));
+    }
     return finishStep(
-        sys, w, batchedDecodeCosts(sys, m, resident_tokens, true), true);
+        sys, m, resident_tokens.size(),
+        batchedDecodeCosts(sys, m, resident_tokens.size(), sums), true);
 }
 
 } // namespace detail

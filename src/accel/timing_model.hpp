@@ -177,11 +177,35 @@ StepReport simulatePrefillChunk(const SystemConfig &sys,
                                 std::size_t chunk_len);
 
 /**
- * One decode step over a continuous batch. `resident_tokens` holds the
- * per-sequence KV-resident token count at attention time; the weight
- * stream is fetched once and amortized across every member sequence,
- * which is where batched decode wins over request-at-a-time serving.
+ * One decode step over a continuous batch of `batch` sequences holding
+ * `n_sum` KV-resident tokens between them at attention time; the
+ * weight stream is fetched once and amortized across every member
+ * sequence, which is where batched decode wins over request-at-a-time
+ * serving.
+ *
+ * The cost depends on the members' resident counts only through
+ * (batch size B, total resident tokens N), and is computed in O(1).
+ * Every per-member accumuland — MACs, working-set bytes, SFU ops,
+ * resident tokens — is an integer-valued double far below 2^53 for
+ * any realistic model, so the member-order summation is *exact*, and
+ * each sum is an affine function of (B, N) with exact integer
+ * coefficients:
+ *
+ *     sum_i macsPerDecodeToken(n_i) = B*((proj+ffn)*L + head) + 2*d*L*N
+ *     sum_i ws(n_i)                 = 2*nHeads*N + 6*d*B
+ *     sum_i sfu(n_i)                = L*(2*nHeads*N + (4d+dFfn)*B)
+ *
+ * Everything downstream of the sums reads only them, so any batch
+ * with the same (B, N) yields bitwise the same `StepReport` as the
+ * member-at-a-time loop (detail::batchedDecodeStepLoopReference,
+ * pinned by the TimingTelescoping tests).
  */
+StepReport simulateBatchedDecodeStep(const SystemConfig &sys,
+                                     const model::ModelConfig &m,
+                                     std::size_t batch,
+                                     std::size_t n_sum);
+
+/** The same step from the per-sequence resident counts. */
 StepReport simulateBatchedDecodeStep(
     const SystemConfig &sys, const model::ModelConfig &m,
     const std::vector<std::size_t> &resident_tokens);
@@ -194,11 +218,10 @@ StepReport simulateBatchedDecodeStep(
  * The shipping paths telescope analytically summable loops: the
  * decode loop of `simulate` re-evaluates the per-step analytic model
  * only when the resident-token clamp changes, and
- * `simulateBatchedDecodeStep` collapses runs of equal resident counts
- * into `count * term` closed forms. Both are bit-identical to the
- * original step-at-a-time / member-at-a-time loops, which these
- * references preserve so the equality is *tested*, not assumed (see
- * the TimingTelescoping suite).
+ * `simulateBatchedDecodeStep` sums its batch in closed form from
+ * (B, N). Both are bit-identical to the original step-at-a-time /
+ * member-at-a-time loops, which these references preserve so the
+ * equality is *tested*, not assumed (see the TimingTelescoping suite).
  * @{
  */
 namespace detail {

@@ -26,13 +26,28 @@ hashUnit(std::uint64_t a, std::uint64_t b)
     return static_cast<double>(x >> 11) * 0x1.0p-53;
 }
 
+/** Device `i`'s engine config: the shared knobs through the one copy
+ *  path (deviceConfigFrom), then only what a DeviceSpec overrides. */
+serving::DeviceConfig
+deviceConfigOf(const ClusterConfig &cfg, std::size_t i)
+{
+    const DeviceSpec &spec = cfg.devices[i];
+    serving::DeviceConfig d = deviceConfigFrom(cfg.engine);
+    // A 1-device fleet keeps the empty label so its verbose log is
+    // bit-identical to the single-device Scheduler's.
+    d.name = cfg.devices.size() > 1 ? spec.name : "";
+    d.system = spec.system;
+    d.poolTokens = spec.poolTokens;
+    d.maxBatch = spec.maxBatch;
+    return d;
+}
+
 } // namespace
 
 std::vector<DeviceSpec>
 homogeneousFleet(std::size_t n, const accel::SystemConfig &system,
                  std::size_t pool_tokens, std::size_t max_batch)
 {
-    KELLE_ASSERT(n > 0, "a fleet needs at least one device");
     std::vector<DeviceSpec> fleet;
     fleet.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -52,7 +67,6 @@ heteroEdramSramFleet(std::size_t n, std::size_t budget,
                      std::size_t sram_pool_tokens,
                      std::size_t max_batch)
 {
-    KELLE_ASSERT(n > 0, "a fleet needs at least one device");
     std::vector<DeviceSpec> fleet;
     fleet.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -80,15 +94,32 @@ clusterConfigFrom(const serving::ServingConfig &cfg,
     return c;
 }
 
+std::string
+ClusterConfig::validate() const
+{
+    ConfigErrors err;
+    err.require(!devices.empty(), "devices must not be empty");
+    err.add(engine.traffic.validate());
+    err.add(engine.paged.validate());
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const std::string dev = deviceConfigOf(*this, i).validate();
+        err.require(dev.empty(), "device ", devices[i].name, ": ", dev);
+    }
+    if (faults.enabled)
+        err.add(faults.validate());
+    return err.str();
+}
+
 ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     : cfg_(cfg), dispatch_(makeDispatchPolicy(cfg.dispatch))
 {
-    KELLE_ASSERT(!cfg_.devices.empty(),
-                 "a cluster needs at least one device");
     if (cfg_.threads != 1)
         KELLE_FATAL("ClusterConfig::threads must be 1 (got ",
                     cfg_.threads,
                     "): the fleet runs on one shared event loop");
+    const std::string err = cfg_.validate();
+    if (!err.empty())
+        KELLE_FATAL("invalid cluster config: ", err);
     if (cfg_.engine.trace != nullptr)
         clusterTrack_ = cfg_.engine.trace->requestsTrack();
     if (cfg_.faults.enabled) {
@@ -101,17 +132,8 @@ ClusterEngine::ClusterEngine(const ClusterConfig &cfg)
     devices_.reserve(cfg_.devices.size());
     for (std::size_t i = 0; i < cfg_.devices.size(); ++i) {
         const DeviceSpec &spec = cfg_.devices[i];
-        // One copy path for the shared knobs (deviceConfigFrom), then
-        // only what a DeviceSpec may override.
-        serving::DeviceConfig d = deviceConfigFrom(cfg_.engine);
-        // A 1-device fleet keeps the empty label so its verbose log is
-        // bit-identical to the single-device Scheduler's.
-        d.name = cfg_.devices.size() > 1 ? spec.name : "";
-        d.system = spec.system;
-        d.poolTokens = spec.poolTokens;
-        d.maxBatch = spec.maxBatch;
         devices_.push_back(std::make_unique<serving::DeviceEngine>(
-            d, queue_, requests_));
+            deviceConfigOf(cfg_, i), queue_, requests_));
         if (cfg_.engine.trace != nullptr)
             devices_.back()->setTrace(cfg_.engine.trace->addDeviceTrack(
                 spec.name.empty() ? "device" : spec.name));

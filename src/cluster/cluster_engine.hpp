@@ -92,16 +92,22 @@ struct ClusterConfig
      * bit-identical to the pre-fault build.
      */
     faults::FaultConfig faults;
+
+    /** Empty when usable, else the failures, each naming its field:
+     *  fleet, traffic, paged pool, each device's DeviceConfig and,
+     *  when enabled, the fault model (`threads`: the engine checks). */
+    std::string validate() const;
 };
 
-/** N identical devices named dev0..devN-1. */
+/** N identical devices named dev0..devN-1 (empty for n = 0). */
 std::vector<DeviceSpec> homogeneousFleet(
     std::size_t n,
     const accel::SystemConfig &system = accel::kelleEdramSystem(2048),
     std::size_t pool_tokens = 0, std::size_t max_batch = 16);
 
 /**
- * An alternating eDRAM/SRAM fleet (edram0, sram1, edram2, ...): the
+ * An alternating eDRAM/SRAM fleet (edram0, sram1, edram2, ...; empty
+ * for n = 0): the
  * heterogeneity study of the source paper's co-design at fleet scale.
  * eDRAM-backed devices take `edram_pool_tokens`, SRAM-backed ones
  * `sram_pool_tokens` (0 = capacity analysis for either), so the KV

@@ -78,6 +78,34 @@ inform(Args &&...args)
     detail::informImpl(detail::fold(std::forward<Args>(args)...));
 }
 
+/**
+ * The "; "-joined failure list a config struct's `validate()` returns
+ * (empty when the config is usable).
+ */
+class ConfigErrors
+{
+  public:
+    /** Record the message folded from `parts` unless `ok`. */
+    template <typename... Args>
+    void
+    require(bool ok, Args &&...parts)
+    {
+        if (!ok)
+            add(detail::fold(std::forward<Args>(parts)...));
+    }
+    /** Record a nested `validate()` result, if it is a failure. */
+    void
+    add(const std::string &err)
+    {
+        if (!err.empty())
+            msg_ += (msg_.empty() ? "" : "; ") + err;
+    }
+    const std::string &str() const { return msg_; }
+
+  private:
+    std::string msg_;
+};
+
 } // namespace kelle
 
 #endif // KELLE_COMMON_LOG_HPP

@@ -39,17 +39,46 @@ mix(std::uint64_t x)
 
 } // namespace
 
+std::string
+FaultConfig::validate() const
+{
+    const auto positive = [](double v) {
+        return v > 0.0 && std::isfinite(v);
+    };
+    const auto non_negative = [](double v) {
+        return v >= 0.0 && std::isfinite(v);
+    };
+    ConfigErrors err;
+    err.require(positive(mtbfSec),
+                "mtbfSec must be positive and finite, got ", mtbfSec);
+    err.require(positive(mttrSec),
+                "mttrSec must be positive and finite, got ", mttrSec);
+    err.require(non_negative(crashWeight) &&
+                    non_negative(slowdownWeight) &&
+                    non_negative(shrinkWeight) &&
+                    crashWeight + slowdownWeight + shrinkWeight > 0.0,
+                "crashWeight, slowdownWeight and shrinkWeight must be "
+                "non-negative with a positive total");
+    err.require(slowdownFactor >= 1.0 && std::isfinite(slowdownFactor),
+                "slowdownFactor must be >= 1, got ", slowdownFactor);
+    err.require(shrinkFactor > 0.0 && shrinkFactor <= 1.0,
+                "shrinkFactor must be in (0, 1], got ", shrinkFactor);
+    err.require(non_negative(recoverWarmupSec) &&
+                    non_negative(retryBackoffSec) &&
+                    non_negative(retryBackoffCapSec),
+                "recoverWarmupSec, retryBackoffSec and "
+                "retryBackoffCapSec must be non-negative");
+    return err.str();
+}
+
 FaultInjector::FaultInjector(const FaultConfig &cfg,
                              std::size_t n_devices)
     : cfg_(cfg)
 {
     KELLE_ASSERT(n_devices > 0, "fault injector over an empty fleet");
-    KELLE_ASSERT(cfg_.mtbfSec > 0.0 && cfg_.mttrSec > 0.0,
-                 "MTBF/MTTR must be positive");
-    KELLE_ASSERT(cfg_.crashWeight + cfg_.slowdownWeight +
-                         cfg_.shrinkWeight >
-                     0.0,
-                 "at least one fault kind needs positive weight");
+    const std::string err = cfg_.validate();
+    if (!err.empty())
+        KELLE_FATAL("invalid fault config: ", err);
     streams_.resize(n_devices);
     for (std::size_t d = 0; d < n_devices; ++d) {
         DeviceStream &s = streams_[d];
@@ -128,12 +157,6 @@ Time
 FaultInjector::nextEventTime() const
 {
     return streams_[earliest()].next.at;
-}
-
-const FaultEvent &
-FaultInjector::peek() const
-{
-    return streams_[earliest()].next;
 }
 
 FaultEvent

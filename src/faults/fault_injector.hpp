@@ -75,6 +75,10 @@ struct FaultConfig
     double retryBackoffCapSec = 30.0;
     /** Fault-stream seed (independent of the arrival-trace seed). */
     std::uint64_t seed = 42;
+
+    /** Empty when the fault model can run (enabled or not), else
+     *  the failures, each naming its field. */
+    std::string validate() const;
 };
 
 /** What happened to a device at a fault instant. */
@@ -101,7 +105,7 @@ struct FaultEvent
 
 /**
  * The merged, lazily generated fault stream for an `nDevices` fleet.
- * `peek`/`pop` never run the renewal processes further than one
+ * `pop` never runs the renewal processes further than one
  * pending event per device.
  */
 class FaultInjector
@@ -112,8 +116,6 @@ class FaultInjector
     /** Earliest pending fault instant (never +inf: the renewal
      *  process is infinite). Ties break by device index. */
     Time nextEventTime() const;
-    /** The event `pop` would return. */
-    const FaultEvent &peek() const;
     /** Consume the earliest event and advance that device's stream. */
     FaultEvent pop();
 

@@ -1,6 +1,6 @@
 #include "model/model_config.hpp"
 
-#include <sstream>
+#include "common/log.hpp"
 
 namespace kelle {
 namespace model {
@@ -34,12 +34,6 @@ double
 ModelConfig::weightBytes(int bits_w) const
 {
     return totalParams() * bits_w / 8.0;
-}
-
-double
-ModelConfig::weightBytesPerLayer(int bits_w) const
-{
-    return paramsPerLayer() * bits_w / 8.0;
 }
 
 double
@@ -101,13 +95,13 @@ ModelConfig::macsPrefill(std::size_t context_len) const
 std::string
 ModelConfig::validate() const
 {
-    std::ostringstream err;
-    if (nHeads == 0 || dModel % nHeads != 0)
-        err << "dModel must be divisible by nHeads";
-    if (nKvHeads == 0 || nHeads % nKvHeads != 0)
-        err << "; nHeads must be divisible by nKvHeads";
-    if (layers == 0 || vocab == 0 || dFfn == 0)
-        err << "; zero-sized dimension";
+    ConfigErrors err;
+    err.require(nHeads > 0 && dModel % nHeads == 0,
+                "dModel must be divisible by nHeads");
+    err.require(nKvHeads > 0 && nHeads % nKvHeads == 0,
+                "nHeads must be divisible by nKvHeads");
+    err.require(layers > 0 && vocab > 0 && dFfn > 0,
+                "zero-sized dimension");
     return err.str();
 }
 

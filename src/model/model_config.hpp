@@ -50,8 +50,6 @@ struct ModelConfig
     double totalParams() const;
     /** Total weight bytes at the given weight bit width. */
     double weightBytes(int bits_w) const;
-    /** Per-layer weight bytes at the given weight bit width. */
-    double weightBytesPerLayer(int bits_w) const;
     /** KV cache bytes per token per layer at the given KV bit width. */
     double kvBytesPerTokenPerLayer(int bits_kv) const;
     /** KV cache bytes per token across all layers. */

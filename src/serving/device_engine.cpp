@@ -45,9 +45,12 @@ hashUnit(std::uint64_t a, std::uint64_t b)
 DeviceConfig
 normalizedConfig(DeviceConfig cfg)
 {
-    const std::string err = cfg.paged.validate();
+    std::string err = cfg.paged.validate();
     if (!err.empty())
         KELLE_FATAL("invalid paged KV config: ", err);
+    err = cfg.validate();
+    if (!err.empty())
+        KELLE_FATAL("invalid device config: ", err);
     if (cfg.paged.enabled && cfg.paged.quantBits > 0)
         cfg.system.kv.kvBits = cfg.paged.quantBits;
     return cfg;
@@ -95,14 +98,35 @@ makeAllocatorConfig(const DeviceConfig &cfg)
 std::string
 PagedKvConfig::validate() const
 {
-    std::string err;
-    if (enabled && blockTokens == 0)
-        err = "blockTokens must be positive";
-    if (enabled && quantBits != 0 && quantBits != 4 && quantBits != 8)
-        err += std::string(err.empty() ? "" : "; ") +
-               "quantBits must be 0 (system default), 4 or 8, got " +
-               std::to_string(quantBits);
-    return err;
+    ConfigErrors err;
+    err.require(!enabled || blockTokens > 0,
+                "blockTokens must be positive");
+    err.require(!enabled || quantBits == 0 || quantBits == 4 ||
+                    quantBits == 8,
+                "quantBits must be 0 (system default), 4 or 8, got ",
+                quantBits);
+    return err.str();
+}
+
+std::string
+DeviceConfig::validate() const
+{
+    ConfigErrors err;
+    const std::string model_err = model.validate();
+    err.require(model_err.empty(), "model ", model.name, ": ", model_err);
+    err.require(maxBatch > 0, "maxBatch must be positive");
+    err.require(highWatermark > 0.0 && highWatermark <= 1.0,
+                "highWatermark must be in (0, 1], got ", highWatermark);
+    err.require(preempt.doomFactor > 0.0 &&
+                    std::isfinite(preempt.doomFactor),
+                "preempt.doomFactor must be positive and finite, got ",
+                preempt.doomFactor);
+    err.require(clientRetryBackoffSec >= 0.0 &&
+                    std::isfinite(clientRetryBackoffSec),
+                "clientRetryBackoffSec must be non-negative and "
+                "finite, got ",
+                clientRetryBackoffSec);
+    return err.str();
 }
 
 DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
@@ -116,9 +140,6 @@ DeviceEngine::DeviceEngine(const DeviceConfig &cfg,
       costCache_(cfg_.system, cfg_.model),
       profiler_(cfg.profiler)
 {
-    const std::string err = cfg_.model.validate();
-    KELLE_ASSERT(err.empty(), "bad model config: ", err);
-    KELLE_ASSERT(cfg_.maxBatch > 0, "maxBatch must be positive");
 }
 
 std::size_t
@@ -580,25 +601,14 @@ DeviceEngine::admitWaiting()
     }
 }
 
-const accel::StepReport &
-DeviceEngine::decodeStepCost(const std::vector<std::size_t> &resident)
-{
-    if (cfg_.fastSim)
-        return costCache_.batchedDecodeStep(resident);
-    stepScratch_ = accel::simulateBatchedDecodeStep(cfg_.system,
-                                                    cfg_.model, resident);
-    return stepScratch_;
-}
-
-const accel::StepReport &
+accel::StepReport
 DeviceEngine::prefillChunkCost(std::size_t kv_offset,
                                std::size_t chunk_len)
 {
     if (cfg_.fastSim)
         return costCache_.prefillChunk(kv_offset, chunk_len);
-    stepScratch_ = accel::simulatePrefillChunk(cfg_.system, cfg_.model,
-                                               kv_offset, chunk_len);
-    return stepScratch_;
+    return accel::simulatePrefillChunk(cfg_.system, cfg_.model,
+                                       kv_offset, chunk_len);
 }
 
 void
@@ -614,7 +624,7 @@ DeviceEngine::runPrefillChunk(const EngineStepPlan &plan)
     if (allocator_.paged())
         pagedEnsure(idx, std::min(r.prefilled + plan.chunkTokens,
                                   r.budgetGranted));
-    const accel::StepReport &step =
+    const accel::StepReport step =
         prefillChunkCost(r.prefilled, plan.chunkTokens);
     // Slowdown faults stretch the step wall-clock, not its energy.
     const Time lat = scaled(step.latency);
@@ -800,23 +810,26 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
         for (std::size_t idx : plan.decodeBatch)
             pagedEnsure(idx, requests_[idx].residentTokens());
     }
-    residentScratch_.clear();
+    // The step's cost depends on its members only through (batch
+    // size, total resident tokens); see simulateBatchedDecodeStep.
+    const std::size_t batch_size = plan.decodeBatch.size();
+    std::size_t n_sum = 0;
     for (std::size_t idx : plan.decodeBatch)
-        residentScratch_.push_back(requests_[idx].residentTokens());
-    const accel::StepReport *step = &decodeStepCost(residentScratch_);
+        n_sum += requests_[idx].residentTokens();
+    accel::StepReport step = accel::simulateBatchedDecodeStep(
+        cfg_.system, cfg_.model, batch_size, n_sum);
     // Slowdown faults stretch step wall-clock, not energy; the scale
     // is constant inside a step window (fault instants bound every
     // fast-forward horizon), so re-deriving `lat` after each re-cost
     // keeps every consumer consistent.
-    Time lat = scaled(step->latency);
-    metrics_.addEnergy(step->energy);
+    Time lat = scaled(step.latency);
+    metrics_.addEnergy(step.energy);
     busy_ = busy_ + lat;
     inFlightBatch_.assign(plan.decodeBatch.begin(),
                           plan.decodeBatch.end());
     if (trace_ != nullptr)
-        trace_->decodeStep(queue_.now(), lat,
-                           inFlightBatch_.size(),
-                           step->energy.refresh.j());
+        trace_->decodeStep(queue_.now(), lat, batch_size,
+                           step.energy.refresh.j());
 
     // Fast-forward: while (a) no batch member completes, (b) admission
     // and preemption are provably no-ops, and (c) the boundary lands
@@ -827,11 +840,11 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
     // re-entering the event queue, performing exactly the operations
     // the event-driven loop would, in the same order: member token
     // updates at the boundary, then the next step's resident total,
-    // cost lookup, and energy/busy/counter accumulations, with the
-    // same repeated-addition timestamps. The (batch, total-resident)
-    // cost key is tracked incrementally — it grows by the number of
-    // members still below their budget clamp, and stops changing (no
-    // lookup at all) once every member is clamped. Only the final,
+    // cost, and energy/busy/counter accumulations, with the
+    // same repeated-addition timestamps. The total resident count is
+    // tracked incrementally — it grows by the number of members still
+    // below their budget clamp, and stops changing (no re-cost at
+    // all) once every member is clamped. Only the final,
     // state-changing boundary re-enters the queue.
     Time t = queue_.now();
     bool replay_deferrals = false;
@@ -883,10 +896,6 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
             if (bounded)
                 horizon = queue_.nextEventTime();
         }
-        std::size_t n_sum = 0;
-        for (std::size_t n : residentScratch_)
-            n_sum += n;
-        const std::size_t batch_size = inFlightBatch_.size();
         while (silent > 0) {
             const Time tn = t + lat;
             if (bounded && !(tn < horizon))
@@ -943,51 +952,32 @@ DeviceEngine::runDecodeStep(const EngineStepPlan &plan)
                 // Mirror the event path: grow each member's chain to
                 // its new resident count, then re-cost. Budget clamps
                 // from failed growth can change any member's clamp,
-                // so the resident vector is rebuilt per boundary; the
-                // (batch, total-resident) cost key stays exact, so an
-                // unchanged total skips the lookup.
+                // so the total is re-summed per boundary; an
+                // unchanged total keeps the current cost.
                 for (std::size_t idx : inFlightBatch_)
                     pagedEnsure(idx,
                                 requests_[idx].residentTokens());
-                residentScratch_.clear();
                 std::size_t ns = 0;
-                for (std::size_t idx : inFlightBatch_) {
-                    const std::size_t n =
-                        requests_[idx].residentTokens();
-                    residentScratch_.push_back(n);
-                    ns += n;
-                }
+                for (std::size_t idx : inFlightBatch_)
+                    ns += requests_[idx].residentTokens();
                 if (ns != n_sum) {
                     n_sum = ns;
-                    const accel::StepReport *hit =
-                        costCache_.findBatchedDecode(batch_size,
-                                                     n_sum);
-                    step = hit != nullptr
-                               ? hit
-                               : &decodeStepCost(residentScratch_);
+                    step = accel::simulateBatchedDecodeStep(
+                        cfg_.system, cfg_.model, batch_size, n_sum);
                 }
             } else if (growth > 0) {
                 n_sum += growth;
-                const accel::StepReport *hit =
-                    costCache_.findBatchedDecode(batch_size, n_sum);
-                if (hit != nullptr) {
-                    step = hit;
-                } else {
-                    residentScratch_.clear();
-                    for (std::size_t idx : inFlightBatch_)
-                        residentScratch_.push_back(
-                            requests_[idx].residentTokens());
-                    step = &decodeStepCost(residentScratch_);
-                }
+                step = accel::simulateBatchedDecodeStep(
+                    cfg_.system, cfg_.model, batch_size, n_sum);
             }
             // Mirror the event path's per-boundary decode slice: the
             // step *starting* at this boundary, costed after any
             // resident growth.
-            lat = scaled(step->latency);
+            lat = scaled(step.latency);
             if (trace_ != nullptr)
                 trace_->decodeStep(t, lat, batch_size,
-                                   step->energy.refresh.j());
-            metrics_.addEnergy(step->energy);
+                                   step.energy.refresh.j());
+            metrics_.addEnergy(step.energy);
             busy_ = busy_ + lat;
             --silent;
         }

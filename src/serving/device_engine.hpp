@@ -30,17 +30,21 @@
  * charged as a decode stall and the TPOT miss stays on the books; each
  * request is preempted at most once, so traces always drain.
  *
+ * Step costing: a decode step is costed in O(1) from (batch size,
+ * total resident tokens) — `accel::simulateBatchedDecodeStep` — in
+ * either mode; per-step vectors are engine-owned scratch reused
+ * across steps; completion callbacks capture only `this` (in-flight
+ * step state lives in members) so the `std::function` stays in its
+ * small-object buffer.
+ *
  * Fast path (`DeviceConfig::fastSim`, on by default, bit-identical —
- * see docs/ARCHITECTURE.md "Simulation-core performance"): step costs
- * come from a per-device `accel::StepCostCache`; per-step vectors are
- * engine-owned scratch reused across steps; completion callbacks
- * capture only `this` (in-flight step state lives in members) so the
- * `std::function` stays in its small-object buffer; and runs of
- * decode boundaries nothing can observe — no member completing, no
+ * see docs/ARCHITECTURE.md "Simulation-core performance"): prefill
+ * chunk costs come from a per-device `accel::StepCostCache`, and runs
+ * of decode boundaries nothing can observe — no member completing, no
  * admission or preemption possible, no pending event before the
  * boundary — are fast-forwarded inline without re-entering the event
- * queue, replaying exactly the per-boundary updates and cost lookups
- * the step-at-a-time loop would perform. `fastSim = false` keeps the
+ * queue, replaying exactly the per-boundary updates and costs the
+ * step-at-a-time loop would produce. `fastSim = false` keeps the
  * straight-line path; the FastPathEquivalence tests drive both to the
  * same traces and require field-for-field identical reports.
  */
@@ -144,10 +148,10 @@ struct DeviceConfig
     /** Mean client re-arrival backoff, seconds (jittered 0.5-1.5x). */
     double clientRetryBackoffSec = 5.0;
     /**
-     * Bit-identical simulation fast path: memoized step costing plus
-     * fast-forwarding of provably identical decode steps. Off reverts
-     * to uncached step-at-a-time execution (the equivalence oracle
-     * and the bench_simspeed `--ref` baseline).
+     * Bit-identical simulation fast path: fast-forwarding of provably
+     * identical decode steps plus the prefill-chunk cost memo. Off
+     * reverts to uncached step-at-a-time execution (the equivalence
+     * oracle and the bench_simspeed `--ref` baseline).
      */
     bool fastSim = true;
     bool verbose = false;
@@ -157,6 +161,10 @@ struct DeviceConfig
      * the clock reads; sim outputs are identical either way.
      */
     obs::PhaseProfiler *profiler = nullptr;
+
+    /** Empty when usable, else the failures, each naming its field;
+     *  `paged` validates itself (PagedKvConfig::validate). */
+    std::string validate() const;
 };
 
 class DeviceEngine
@@ -325,7 +333,7 @@ class DeviceEngine
     Time lastCompletion() const { return lastCompletion_; }
     /** Wall-clock the accelerator spent executing engine steps. */
     Time busyTime() const { return busy_; }
-    /** Step-cost memoization accounting (zero when fastSim is off). */
+    /** Prefill-chunk memo accounting (zero when fastSim is off). */
     const accel::StepCostCache::Stats &
     costCacheStats() const
     {
@@ -361,11 +369,9 @@ class DeviceEngine
      *  (and re-defer) the admission round recorded in `deferScratch_`
      *  to keep the allocator's deferral accounting identical. */
     std::size_t silentStepBudget(bool *replay_deferrals) const;
-    /** Step costs through the cache when fastSim is on. */
-    const accel::StepReport &
-    decodeStepCost(const std::vector<std::size_t> &resident);
-    const accel::StepReport &prefillChunkCost(std::size_t kv_offset,
-                                              std::size_t chunk_len);
+    /** A prefill chunk's cost, through the memo when fastSim is on. */
+    accel::StepReport prefillChunkCost(std::size_t kv_offset,
+                                       std::size_t chunk_len);
     void finishRequest(std::size_t idx);
     void rejectRequest(std::size_t idx, std::size_t floor_tokens);
     /** A request re-entering the queue after a first life (preempt,
@@ -446,14 +452,12 @@ class DeviceEngine
     std::vector<std::size_t> orderScratch_;
     std::vector<std::size_t> admittedNowScratch_;
     std::vector<std::size_t> victimScratch_;
-    std::vector<std::size_t> residentScratch_;
     std::vector<std::size_t> inFlightBatch_; ///< decode members
     /** Cost of the decode step whose completion event is pending —
      *  onDecodeDone charges each member's waterfall share from it. */
     Time inFlightStepLatency_;
     std::size_t inFlightPrefillIdx_ = 0;
     std::size_t inFlightPrefillTokens_ = 0;
-    accel::StepReport stepScratch_; ///< fastSim-off cost slot
     /** One blocked admission attempt of the last round (tryAdmitAt);
      *  the request id rides along so a fast-forward replay emits the
      *  same defer trace events as the event-driven round. */

@@ -57,7 +57,6 @@ sampleTask(Rng &rng, const std::vector<std::pair<sim::Task, double>> &mix)
     double total = 0.0;
     for (const auto &[task, weight] : mix)
         total += weight;
-    KELLE_ASSERT(total > 0.0, "task mix has zero total weight");
     double pick = rng.uniform(0.0, total);
     for (const auto &entry : mix) {
         pick -= entry.second;
@@ -81,27 +80,39 @@ toString(ArrivalProcess p)
     return "?";
 }
 
-bool
-parseArrivalProcess(const std::string &text, ArrivalProcess *out)
+std::string
+TrafficConfig::validate() const
 {
-    if (text == "poisson") {
-        *out = ArrivalProcess::Poisson;
-        return true;
+    ConfigErrors err;
+    err.require(ratePerSec > 0.0 && std::isfinite(ratePerSec),
+                "ratePerSec must be positive and finite, got ",
+                ratePerSec);
+    err.require(numRequests > 0, "numRequests must be positive");
+    err.require(burstMeanArrivals > 0.0 &&
+                    std::isfinite(burstMeanArrivals),
+                "burstMeanArrivals must be positive and finite, got ",
+                burstMeanArrivals);
+    err.require(sessionPrefixFrac >= 0.0 && sessionPrefixFrac <= 1.0,
+                "sessionPrefixFrac must be in [0, 1], got ",
+                sessionPrefixFrac);
+    double total = 0.0;
+    bool negative = false;
+    for (const auto &entry : mix) {
+        total += entry.second;
+        negative = negative || !(entry.second >= 0.0);
     }
-    if (text == "bursty") {
-        *out = ArrivalProcess::Bursty;
-        return true;
-    }
-    return false;
+    err.require(mix.empty() || (!negative && total > 0.0),
+                "mix weights must be non-negative with a positive "
+                "total");
+    return err.str();
 }
 
 std::vector<Request>
 generateTrace(const TrafficConfig &cfg)
 {
-    KELLE_ASSERT(cfg.ratePerSec > 0.0, "arrival rate must be positive");
-    KELLE_ASSERT(cfg.numRequests > 0, "empty trace requested");
-    KELLE_ASSERT(cfg.burstMeanArrivals > 0.0,
-                 "bursty phases need a positive mean arrival count");
+    const std::string err = cfg.validate();
+    if (!err.empty())
+        KELLE_FATAL("invalid traffic config: ", err);
 
     const auto mix = cfg.mix.empty() ? defaultMix() : cfg.mix;
     Rng rng(cfg.seed);
@@ -144,12 +155,10 @@ generateTrace(const TrafficConfig &cfg)
             if (cfg.sessions > 0 && r.task.ctxLen > 1) {
                 const std::uint64_t session =
                     session_rng.below(cfg.sessions);
-                const double frac =
-                    std::clamp(cfg.sessionPrefixFrac, 0.0, 1.0);
                 r.prefixLen = std::min(
                     r.task.ctxLen - 1,
                     static_cast<std::size_t>(
-                        frac *
+                        cfg.sessionPrefixFrac *
                         static_cast<double>(r.task.ctxLen)));
                 if (r.prefixLen > 0)
                     r.prefixKey =

@@ -39,8 +39,6 @@ enum class ArrivalProcess
 };
 
 std::string toString(ArrivalProcess p);
-/** Parse "poisson"/"bursty"; returns false on unknown input. */
-bool parseArrivalProcess(const std::string &text, ArrivalProcess *out);
 
 /**
  * Per-request SLO targets, resolved per task at trace generation. The
@@ -99,12 +97,17 @@ struct TrafficConfig
     std::vector<std::pair<sim::Task, double>> mix;
     /** Per-task TTFT/TPOT deadlines stamped on every request. */
     SloSpec slo;
+
+    /** Empty when a trace can be generated, else the failures,
+     *  each naming its field (rate, requests, burst, prefix, mix). */
+    std::string validate() const;
 };
 
 /**
  * Generate the arrival trace: `numRequests` requests with strictly
  * increasing ids, non-decreasing arrival times and sampled tasks.
- * Deterministic for a fixed config.
+ * Deterministic for a fixed config; an invalid config (see
+ * TrafficConfig::validate) is a fatal configuration error.
  */
 std::vector<Request> generateTrace(const TrafficConfig &cfg);
 

@@ -49,6 +49,16 @@ deviceConfigFrom(const ServingConfig &cfg)
     return d;
 }
 
+std::string
+ServingConfig::validate() const
+{
+    ConfigErrors err;
+    err.add(traffic.validate());
+    err.add(deviceConfigFrom(*this).validate());
+    err.add(paged.validate());
+    return err.str();
+}
+
 Scheduler::Scheduler(const ServingConfig &cfg) : cfg_(cfg)
 {
     device_ = std::make_unique<DeviceEngine>(deviceConfigFrom(cfg_),

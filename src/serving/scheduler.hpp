@@ -94,8 +94,8 @@ struct ServingConfig
     /** Client-retry backoff base in seconds (jittered by request). */
     double clientRetryBackoffSec = 5.0;
     /**
-     * Bit-identical simulation fast path (step-cost memoization +
-     * decode fast-forward; see device_engine.hpp). Off runs the
+     * Bit-identical simulation fast path (decode fast-forward + the
+     * prefill-chunk cost memo; see device_engine.hpp). Off runs the
      * uncached step-at-a-time core — the equivalence-test oracle and
      * the bench_simspeed reference.
      */
@@ -122,6 +122,10 @@ struct ServingConfig
     obs::LatencyWaterfall *waterfall = nullptr;
     /** Wall-clock phase profiling (obs/profile.hpp); null = off. */
     obs::PhaseProfiler *profiler = nullptr;
+
+    /** The traffic, device and paged-pool validate() failures
+     *  joined; empty when usable. */
+    std::string validate() const;
 };
 
 /** The per-device slice of a ServingConfig, for the executor. */

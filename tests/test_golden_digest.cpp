@@ -31,6 +31,8 @@
 #include <initializer_list>
 #include <string>
 
+#include <sys/wait.h>
+
 namespace {
 
 #ifndef KELLE_BIN_DIR
@@ -449,10 +451,11 @@ TEST(PaperDigest, RefreshTuningExample)
 
 // ---- BenchCli ------------------------------------------------------
 // Bad flags end the program with a usage error that names the flag,
-// never with a hang or a silently reinterpreted value.
+// never with a hang, an assertion abort or a silently reinterpreted
+// value.
 
-/** Run `binary` with `flags`; expect a non-zero exit whose output
- *  contains every needle. */
+/** Run `binary` with `flags`; expect exit status 1 (not a signal or
+ *  a timeout) and output containing every needle. */
 void
 expectFlagRejected(const std::string &binary, const std::string &flags,
                    std::initializer_list<std::string> needles)
@@ -464,7 +467,8 @@ expectFlagRejected(const std::string &binary, const std::string &flags,
     // `timeout` turns a regression back into a hang-free failure.
     const std::string out =
         capture("timeout 10 " + path + " " + flags, &exit_code);
-    EXPECT_NE(exit_code, 0) << flags << ":\n" << out;
+    EXPECT_TRUE(WIFEXITED(exit_code) && WEXITSTATUS(exit_code) == 1)
+        << flags << ": wait status " << exit_code << ":\n" << out;
     for (const std::string &needle : needles) {
         EXPECT_NE(out.find(needle), std::string::npos)
             << flags << ":\n" << out;
@@ -513,6 +517,42 @@ TEST(BenchCli, ClusterRejectsRemovedThreadsFlag)
 {
     expectFlagRejected("bench/bench_cluster", "--threads 4",
                        {"unknown flag --threads"});
+}
+
+TEST(BenchCli, ServingRejectsZeroRate)
+{
+    expectFlagRejected("bench/bench_serving", "--rate 0",
+                       {"--rate", "ratePerSec must be positive"});
+}
+
+TEST(BenchCli, ServingRejectsNegativeRate)
+{
+    expectFlagRejected("bench/bench_serving", "--rate -1",
+                       {"--rate", "ratePerSec must be positive"});
+}
+
+TEST(BenchCli, ServingRejectsZeroRequests)
+{
+    expectFlagRejected("bench/bench_serving", "--requests 0",
+                       {"--requests", "numRequests must be positive"});
+}
+
+TEST(BenchCli, ServingRejectsZeroMaxBatch)
+{
+    expectFlagRejected("bench/bench_serving", "--maxbatch 0",
+                       {"--maxbatch", "maxBatch must be positive"});
+}
+
+TEST(BenchCli, ClusterRejectsZeroDevices)
+{
+    expectFlagRejected("bench/bench_cluster", "--devices 0",
+                       {"--devices", "devices must not be empty"});
+}
+
+TEST(BenchCli, ClusterRejectsZeroMtbf)
+{
+    expectFlagRejected("bench/bench_cluster", "--faults --mtbf 0",
+                       {"--mtbf", "mtbfSec must be positive"});
 }
 
 } // namespace

@@ -5,13 +5,13 @@
  * serving engines' allocation-free fast-forward stepping — must be
  * *bitwise* invisible. Four suites:
  *
- *  - StepCostCache: cached vs uncached StepReports are equal on every
- *    double across randomized resident multisets, chunk offsets, and
- *    eDRAM/SRAM system configs; batches sharing the (batch size,
- *    total resident) key produce identical reports however the tokens
- *    are distributed; a capacity-capped cache bypasses without
- *    perturbing values.
- *  - TimingTelescoping: the closed-form grouped summation in
+ *  - StepCostCache: cached vs uncached prefill-chunk StepReports are
+ *    equal on every double across randomized chunk offsets and
+ *    eDRAM/SRAM system configs, and a capacity-capped cache bypasses
+ *    without perturbing values; decode batches sharing (batch size,
+ *    total resident) produce identical reports however the tokens are
+ *    distributed.
+ *  - TimingTelescoping: the (B, N) closed form of
  *    simulateBatchedDecodeStep and the memoized decode loop in
  *    simulate() equal their original loop forms (kept as
  *    accel::detail references) bit-for-bit.
@@ -211,29 +211,38 @@ randomResident(std::mt19937_64 &rng, std::size_t max_batch,
 
 TEST(StepCostCache, CachedDecodeEqualsUncachedAcrossRandomShapes)
 {
+    // Decode steps are no longer memoized: the serving engines cost a
+    // batch from its (batch size, total resident tokens) key, which
+    // must equal the uncached member-at-a-time costing on every double
+    // and stay exact when the same shape is queried again.
     const auto m = model::llama2_7b();
     std::mt19937_64 rng(7);
     for (const auto &sys : cacheSystems()) {
-        accel::StepCostCache cache(sys, m);
         for (int i = 0; i < 50; ++i) {
             const auto resident = randomResident(rng, 24, 4096);
-            const auto &cached = cache.batchedDecodeStep(resident);
+            std::size_t n_sum = 0;
+            for (std::size_t n : resident)
+                n_sum += n;
             const auto uncached =
-                accel::simulateBatchedDecodeStep(sys, m, resident);
-            expectStepEq(cached, uncached);
-            // Second query of the same shape must hit and stay exact.
-            expectStepEq(cache.batchedDecodeStep(resident), uncached);
+                accel::detail::batchedDecodeStepLoopReference(sys, m,
+                                                              resident);
+            expectStepEq(accel::simulateBatchedDecodeStep(
+                             sys, m, resident.size(), n_sum),
+                         uncached);
+            expectStepEq(accel::simulateBatchedDecodeStep(
+                             sys, m, resident.size(), n_sum),
+                         uncached);
         }
-        EXPECT_GT(cache.stats().hits, 0u);
     }
 }
 
 TEST(StepCostCache, EqualKeyBatchesProduceIdenticalReports)
 {
-    // The decode key is (batch size, total resident tokens): every
-    // per-member accumuland is an integer-valued double, so the sums
-    // are exact and any distribution of the same total over the same
-    // batch size yields the same bits.
+    // A decode step's cost is a function of (batch size, total
+    // resident tokens): every per-member accumuland is an
+    // integer-valued double, so the sums are exact and any
+    // distribution of the same total over the same batch size yields
+    // the same bits.
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     std::mt19937_64 rng(11);
@@ -287,13 +296,13 @@ TEST(StepCostCache, CapacityCapBypassesWithoutPerturbingValues)
     const auto sys = accel::kelleEdramSystem(2048);
     const auto m = model::llama2_7b();
     accel::StepCostCache cache(sys, m, /*max_entries=*/4);
-    for (std::size_t n = 100; n < 120; ++n) {
-        const std::vector<std::size_t> resident{n, n + 1};
-        expectStepEq(cache.batchedDecodeStep(resident),
-                     accel::simulateBatchedDecodeStep(sys, m, resident));
+    for (std::size_t off = 100; off < 120; ++off) {
+        expectStepEq(cache.prefillChunk(off, 64),
+                     accel::simulatePrefillChunk(sys, m, off, 64));
     }
     EXPECT_EQ(cache.stats().misses, 4u);
     EXPECT_EQ(cache.stats().bypasses, 16u);
+    EXPECT_EQ(cache.entries(), 4u);
 }
 
 // ---- TimingTelescoping ---------------------------------------------
@@ -309,6 +318,49 @@ TEST(TimingTelescoping, GroupedBatchedDecodeEqualsLoopForm)
                 accel::simulateBatchedDecodeStep(sys, m, resident),
                 accel::detail::batchedDecodeStepLoopReference(
                     sys, m, resident));
+        }
+    }
+}
+
+/** Both shipping overloads of the batched decode step must equal the
+ *  member-at-a-time loop on every double. */
+void
+expectDecodeClosedFormExact(const accel::SystemConfig &sys,
+                            const model::ModelConfig &m,
+                            const std::vector<std::size_t> &resident)
+{
+    std::size_t n_sum = 0;
+    for (std::size_t n : resident)
+        n_sum += n;
+    const auto loop =
+        accel::detail::batchedDecodeStepLoopReference(sys, m, resident);
+    expectStepEq(
+        accel::simulateBatchedDecodeStep(sys, m, resident.size(), n_sum),
+        loop);
+    expectStepEq(accel::simulateBatchedDecodeStep(sys, m, resident), loop);
+}
+
+TEST(TimingTelescoping, ClosedFormDecodeEqualsLoopForm)
+{
+    // Every preset: GatedSilu and Mlp FFNs, MHA and GQA, small and
+    // large vocabularies.
+    const std::vector<model::ModelConfig> models = {
+        model::llama2_7b(),  model::llama2_13b(), model::llama32_3b(),
+        model::llama3_8b(),  model::mistral_7b(), model::qwen2_7b(),
+        model::opt_6_7b(),   model::tinyLm(),     model::tinyLmGqa()};
+    std::mt19937_64 rng(17);
+    for (const auto &m : models) {
+        for (const auto &sys : cacheSystems()) {
+            for (int i = 0; i < 40; ++i)
+                expectDecodeClosedFormExact(sys, m,
+                                            randomResident(rng, 64, 8192));
+            // The largest shape a serving device reaches: a full
+            // 64-member batch, every member at the 2048-token budget
+            // (or at a PG19-length context without eviction).
+            expectDecodeClosedFormExact(
+                sys, m, std::vector<std::size_t>(64, 2048));
+            expectDecodeClosedFormExact(
+                sys, m, std::vector<std::size_t>(64, 512 + 8192));
         }
     }
 }
@@ -484,10 +536,9 @@ TEST(FastPathEquivalence, ClusterFastVsSlowHeteroFleet)
 TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
 {
     // One long-decode request whose context already exceeds its AERP
-    // budget (QP: ctx 1024, budget 1024), so the resident multiset is
-    // pinned from the first decode step and the cost cache hits from
-    // step two on. Dummy events pace the queue so both real and
-    // fast-forwarded boundaries are exercised.
+    // budget (QP: ctx 1024, budget 1024), so the resident total is
+    // pinned from the first decode step. Dummy events pace the queue
+    // so both real and fast-forwarded boundaries are exercised.
     sim::EventQueue queue;
     queue.reserve(2048);
     std::vector<serving::Request> requests;
@@ -504,7 +555,7 @@ TEST(AllocationFree, SteadyStateDecodeSteppingAllocatesNothing)
         queue.schedule(Time::seconds(0.3 * i), [] {});
     engine.enqueue(0);
 
-    // Warm-up: prefill, first decode steps, scratch/cache population.
+    // Warm-up: prefill, first decode steps, scratch population.
     for (int i = 0; i < 100; ++i)
         ASSERT_TRUE(queue.runNext());
     const std::uint64_t decode_steps_before = engine.decodeSteps();
